@@ -75,7 +75,7 @@ type Agent struct {
 type agentJob struct {
 	spec     wire.StartJobPayload
 	decision chan DecisionReply
-	stop     chan struct{}
+	stop     *stopSignal
 	history  []float64
 	span     *obs.Span // run span: opened at start, finished at exit
 
@@ -150,7 +150,7 @@ func (a *Agent) Close() error {
 	a.closed = true
 	close(a.closeCh)
 	for _, j := range a.jobs {
-		close(j.stop)
+		j.stop.Stop()
 	}
 	a.mu.Unlock()
 	a.wg.Wait()
@@ -321,7 +321,7 @@ func (a *Agent) startJob(conn *wire.Conn, sb *statBatcher, p wire.StartJobPayloa
 	j := &agentJob{
 		spec:     p,
 		decision: make(chan DecisionReply, 1),
-		stop:     make(chan struct{}),
+		stop:     newStopSignal(),
 		history:  append([]float64(nil), p.History...),
 	}
 	// Open the run span as a child of the scheduler-side span that
@@ -382,7 +382,7 @@ func (a *Agent) terminateJob(id sched.JobID) {
 	j, ok := a.jobs[id]
 	a.mu.Unlock()
 	if ok {
-		close(j.stop)
+		j.stop.Stop()
 	}
 }
 
@@ -390,11 +390,7 @@ func (a *Agent) stopAllJobs() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, j := range a.jobs {
-		select {
-		case <-j.stop:
-		default:
-			close(j.stop)
-		}
+		j.stop.Stop()
 	}
 }
 
@@ -405,9 +401,13 @@ func (a *Agent) identity() string {
 	return a.ident
 }
 
-func (a *Agent) release(id sched.JobID) {
+// release frees j's slot. Only j's own entry is removed: once its exit
+// frame is out, a resume of the same job ID may already hold the slot.
+func (a *Agent) release(j *agentJob) {
 	a.mu.Lock()
-	delete(a.jobs, id)
+	if id := sched.JobID(j.spec.JobID); a.jobs[id] == j {
+		delete(a.jobs, id)
+	}
 	a.jobsRunning.Set(float64(len(a.jobs)))
 	a.mu.Unlock()
 }
@@ -417,7 +417,7 @@ func (a *Agent) release(id sched.JobID) {
 // iteration boundary, and act on the scheduler's decision.
 func (a *Agent) runJob(conn *wire.Conn, sb *statBatcher, j *agentJob, trainer workload.Trainer, spec workload.Spec) {
 	defer a.wg.Done()
-	defer a.release(sched.JobID(j.spec.JobID))
+	defer a.release(j) // paths that end without an exit frame
 	// send carries the ordered control frames (IterDone, Snapshot,
 	// JobExited); flushing the stat batcher first preserves the per-job
 	// stat-before-boundary ordering the scheduler's DB relies on.
@@ -438,10 +438,14 @@ func (a *Agent) runJob(conn *wire.Conn, sb *statBatcher, j *agentJob, trainer wo
 	wctx := wire.TraceContext{TraceID: runCtx.TraceID, SpanID: runCtx.SpanID}
 	tracer := a.opts.Obs.Tracer()
 	ident := a.identity()
-	// exit closes out the job's tracing state exactly once: the run
-	// span finishes, its spans unpin from the flight recorder, and the
-	// job's trace-event slice closes.
+	// exit closes out the job exactly once, right before its JobExited
+	// frame: the slot is freed first, so a scheduler that places the
+	// next job here the moment it reads the exit never finds the slot
+	// still taken ("no free slot"). Then the run span finishes, its
+	// spans unpin from the flight recorder, and the job's trace-event
+	// slice closes.
 	exit := func(reason string) {
+		a.release(j)
 		j.span.SetStr("exit", reason)
 		tracer.Finish(j.span)
 		a.opts.Obs.Flight().JobDone(j.spec.JobID)
@@ -451,7 +455,7 @@ func (a *Agent) runJob(conn *wire.Conn, sb *statBatcher, j *agentJob, trainer wo
 
 	for {
 		select {
-		case <-j.stop:
+		case <-j.stop.Done():
 			exit("terminated")
 			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: trainer.Epoch(), Reason: "terminated", TraceContext: wctx})
 			return
@@ -496,7 +500,7 @@ func (a *Agent) runJob(conn *wire.Conn, sb *statBatcher, j *agentJob, trainer wo
 		var dr DecisionReply
 		select {
 		case dr = <-j.decision:
-		case <-j.stop:
+		case <-j.stop.Done():
 			exit("terminated")
 			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: s.Epoch, Reason: "terminated", TraceContext: wctx})
 			return

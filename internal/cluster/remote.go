@@ -76,9 +76,8 @@ type AgentClient struct {
 	seq       uint64
 	deadCause error // heartbeat verdict, reported instead of the raw read error
 
-	stopOnce sync.Once
-	stop     chan struct{} // closed by Close: aborts event sends and the heartbeat
-	done     chan struct{} // closed when readLoop exits
+	stop *stopSignal   // stopped by Close: aborts event sends and the heartbeat
+	done chan struct{} // closed when readLoop exits
 }
 
 // DialAgent connects to an agent, performs the Hello handshake, and
@@ -130,7 +129,7 @@ func NewAgentClientOpts(nc net.Conn, events chan<- Event, opts AgentClientOption
 		rtt:      opts.Obs.Histogram(obs.HeartbeatRTTSeconds),
 		jobSlots: make(map[sched.JobID]SlotID),
 		pings:    make(map[uint64]time.Time),
-		stop:     make(chan struct{}),
+		stop:     newStopSignal(),
 		done:     make(chan struct{}),
 	}
 	for i := 0; i < hello.Slots; i++ {
@@ -226,7 +225,7 @@ func (c *AgentClient) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.stop.Stop()
 	err := c.conn.Close()
 	<-c.done
 	return err
@@ -238,7 +237,7 @@ func (c *AgentClient) emit(ev Event) bool {
 	select {
 	case c.events <- ev:
 		return true
-	case <-c.stop:
+	case <-c.stop.Done():
 		return false
 	}
 }
@@ -272,7 +271,7 @@ func (c *AgentClient) heartbeatLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.stop.Done():
 			return
 		case <-c.done:
 			return
@@ -506,7 +505,7 @@ func (c *AgentClient) forwardDecision(jobID string, reply <-chan DecisionReply) 
 			return
 		}
 		dr = got
-	case <-c.stop:
+	case <-c.stop.Done():
 		return
 	}
 	var s string

@@ -89,7 +89,7 @@ type AgentSupervisor struct {
 	client *AgentClient // nil while down/reconnecting
 	closed bool
 
-	stop  chan struct{}
+	stop  *stopSignal
 	done  chan struct{} // monitor loop exited
 	ready chan struct{} // closed once identity fields are initialized
 }
@@ -124,7 +124,7 @@ func SuperviseAgent(events chan<- Event, opts SupervisorOptions) (*AgentSupervis
 	s := &AgentSupervisor{
 		opts:   opts,
 		events: events,
-		stop:   make(chan struct{}),
+		stop:   newStopSignal(),
 		done:   make(chan struct{}),
 		ready:  make(chan struct{}),
 	}
@@ -189,7 +189,7 @@ func (s *AgentSupervisor) agentDown(cause error) {
 func (s *AgentSupervisor) emit(ev Event) {
 	select {
 	case s.events <- ev:
-	case <-s.stop:
+	case <-s.stop.Done():
 	}
 }
 
@@ -245,7 +245,7 @@ func (s *AgentSupervisor) monitor() {
 		s.mu.Unlock()
 		select {
 		case <-client.Done():
-		case <-s.stop:
+		case <-s.stop.Done():
 			return
 		}
 		s.mu.Lock()
@@ -282,7 +282,7 @@ func (s *AgentSupervisor) monitor() {
 			s.opts.Logf("cluster: agent %s reconnect attempt %d: %v (retrying in ~%v)",
 				s.agentID, attempt, err, bo.Current())
 			select {
-			case <-s.stop:
+			case <-s.stop.Done():
 				return
 			case <-time.After(bo.Next()):
 			}
@@ -349,7 +349,7 @@ func (s *AgentSupervisor) Close() error {
 	s.closed = true
 	client := s.client
 	s.mu.Unlock()
-	close(s.stop)
+	s.stop.Stop()
 	var err error
 	if client != nil {
 		err = client.Close()

@@ -30,7 +30,7 @@ type WorkerPool struct {
 // workerJob is one running training loop.
 type workerJob struct {
 	spec StartSpec
-	stop chan struct{} // closed to request asynchronous termination
+	stop *stopSignal // stopped to request asynchronous termination
 	// reply is reused for every iteration-boundary round trip of this
 	// job: the scheduler sends exactly one DecisionReply per EvIterDone
 	// and the loop consumes it before emitting the next, so a single
@@ -102,7 +102,7 @@ func (p *WorkerPool) Start(spec StartSpec) error {
 	if !known {
 		return fmt.Errorf("cluster: unknown slot %s", spec.Slot)
 	}
-	wj := &workerJob{spec: spec2, stop: make(chan struct{}), reply: make(chan DecisionReply, 1)}
+	wj := &workerJob{spec: spec2, stop: newStopSignal(), reply: make(chan DecisionReply, 1)}
 	p.running[spec.Slot] = wj
 	p.wg.Add(1)
 	go p.runJob(wj, trainer)
@@ -119,7 +119,7 @@ func (p *WorkerPool) Close() error {
 	}
 	p.closed = true
 	for _, wj := range p.running {
-		close(wj.stop)
+		wj.stop.Stop()
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
@@ -136,12 +136,7 @@ func (p *WorkerPool) StopJob(job sched.JobID, slot SlotID) error {
 	if !ok || wj.spec.Job != job {
 		return fmt.Errorf("cluster: job %s not running on slot %s", job, slot)
 	}
-	select {
-	case <-wj.stop:
-		// Already stopping (pool Close or a duplicate request).
-	default:
-		close(wj.stop)
-	}
+	wj.stop.Stop() // a no-op when already stopping (pool Close or a duplicate request)
 	return nil
 }
 
@@ -157,7 +152,7 @@ func (p *WorkerPool) emit(wj *workerJob, ev Event) bool {
 	select {
 	case p.events <- ev:
 		return true
-	case <-wj.stop:
+	case <-wj.stop.Done():
 		return false
 	}
 }
@@ -197,7 +192,7 @@ func (p *WorkerPool) runJob(wj *workerJob, trainer workload.Trainer) {
 	spec := wj.spec
 	for {
 		select {
-		case <-wj.stop:
+		case <-wj.stop.Done():
 			p.emitStopped(wj, trainer.Epoch())
 			return
 		default:
@@ -225,7 +220,7 @@ func (p *WorkerPool) runJob(wj *workerJob, trainer workload.Trainer) {
 		var dr DecisionReply
 		select {
 		case dr = <-wj.reply:
-		case <-wj.stop:
+		case <-wj.stop.Done():
 			p.emitStopped(wj, s.Epoch)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -33,22 +34,22 @@ func TestModelInitFinite(t *testing.T) {
 			t.Fatalf("%s: Init returned %d params, want %d", m.Name(), len(th), m.NumParams())
 		}
 		for x := 1; x <= 200; x++ {
-			v := m.Eval(float64(x), th)
+			v := evalAt(m, float64(x), th)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s: Eval(%d) not finite with Init params", m.Name(), x)
+				t.Fatalf("%s: f(%d) not finite with Init params", m.Name(), x)
 			}
 			if v < -2 || v > 3 {
-				t.Fatalf("%s: Eval(%d) = %v wildly off metric scale", m.Name(), x, v)
+				t.Fatalf("%s: f(%d) = %v wildly off metric scale", m.Name(), x, v)
 			}
 		}
 	}
 }
 
 func TestModelInvalidParamsReturnNaN(t *testing.T) {
-	if v := (pow4Model{}).Eval(1, []float64{0.5, -2, 0, 0.5}); !math.IsNaN(v) {
+	if v := evalAt(pow4Model{}, 1, []float64{0.5, -2, 0, 0.5}); !math.IsNaN(v) {
 		t.Fatalf("pow4 with non-positive base = %v, want NaN", v)
 	}
-	if v := (logLogLinearModel{}).Eval(1, []float64{0, -1}); !math.IsNaN(v) {
+	if v := evalAt(logLogLinearModel{}, 1, []float64{0, -1}); !math.IsNaN(v) {
 		t.Fatalf("logloglinear with non-positive arg = %v, want NaN", v)
 	}
 }
@@ -63,11 +64,11 @@ func TestEnsembleLayout(t *testing.T) {
 		t.Fatalf("dim = %d, want %d", e.dim, wantDim)
 	}
 	y := []float64{0.1, 0.2, 0.3, 0.4}
-	th := e.initVector(y, DefaultAsym(y))
+	th := e.initVector(y, DefaultAsym(y), new(scratch))
 	if len(th) != e.dim {
 		t.Fatalf("initVector len = %d, want %d", len(th), e.dim)
 	}
-	if lp := e.logPosterior(y, th); math.IsInf(lp, -1) || math.IsNaN(lp) {
+	if lp := e.logPosterior(y, th, new(scratch)); math.IsInf(lp, -1) || math.IsNaN(lp) {
 		t.Fatalf("init vector has invalid posterior %v", lp)
 	}
 }
@@ -75,11 +76,11 @@ func TestEnsembleLayout(t *testing.T) {
 func TestEnsemblePriorRejects(t *testing.T) {
 	e := newEnsemble(Models(), 120)
 	y := []float64{0.1, 0.2, 0.3, 0.4}
-	th := e.initVector(y, DefaultAsym(y))
+	th := e.initVector(y, DefaultAsym(y), new(scratch))
 
 	bad := append([]float64(nil), th...)
 	bad[0] = -0.1 // negative weight
-	if !math.IsInf(e.logPrior(bad), -1) {
+	if !math.IsInf(e.logPrior(bad, new(scratch)), -1) {
 		t.Fatal("prior accepted negative weight")
 	}
 
@@ -87,13 +88,13 @@ func TestEnsemblePriorRejects(t *testing.T) {
 	for i := range Models() {
 		bad[i] = 0 // zero weight sum
 	}
-	if !math.IsInf(e.logPrior(bad), -1) {
+	if !math.IsInf(e.logPrior(bad, new(scratch)), -1) {
 		t.Fatal("prior accepted zero weight sum")
 	}
 
 	bad = append([]float64(nil), th...)
 	bad[len(bad)-1] = math.Log(5) // absurd noise
-	if !math.IsInf(e.logPrior(bad), -1) {
+	if !math.IsInf(e.logPrior(bad, new(scratch)), -1) {
 		t.Fatal("prior accepted sigma > 0.5")
 	}
 }
@@ -320,10 +321,11 @@ func TestProbSweepMatchesProbAtLeast(t *testing.T) {
 			m = 1
 		}
 		ens := PosteriorEnsembleForTest(post)
+		sc := new(scratch)
 		var sum float64
 		n := 0
 		for _, th := range post.RawSamples() {
-			pred := ens.eval(float64(m), th)
+			pred := ens.eval(sc, ens.column(m, m), th)[0]
 			if math.IsNaN(pred) {
 				continue
 			}
@@ -398,5 +400,96 @@ func TestPosteriorQuantiles(t *testing.T) {
 	// Degenerate inputs clamp.
 	if post.Quantile(100, -1) > post.Quantile(100, 2) {
 		t.Fatal("clamped quantiles out of order")
+	}
+}
+
+// TestScalarQueriesMatchSweepKernel pins the single evaluation path:
+// Predict's mean, Quantile and ProbAtLeast (width-1 kernel calls) must
+// equal, bit for bit, values recomputed here from one kernel pass per
+// sample over ProbSweep's whole epoch range.
+func TestScalarQueriesMatchSweepKernel(t *testing.T) {
+	post, err := MustPredictor(FastConfig()).Fit(synthCurve(25, 0.7, 0.04, 0.01, 21), 120, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens := PosteriorEnsembleForTest(post)
+	samples := post.RawSamples()
+	const from, to = 1, 120
+	sweeps := map[float64][]float64{0.5: post.ProbSweep(from, to, 0.5), 0.75: post.ProbSweep(from, to, 0.75)}
+
+	// One kernel pass per sample over the sweep's column.
+	col := ens.column(from, to)
+	sc := new(scratch)
+	rows := make([][]float64, len(samples))
+	for i, th := range samples {
+		rows[i] = append([]float64(nil), ens.eval(sc, col, th)...)
+	}
+
+	for _, m := range []int{1, 7, 25, 26, 60, 119, 120} {
+		k := m - from
+		var sum float64
+		var vals []float64
+		for _, row := range rows {
+			if v := row[k]; !math.IsNaN(v) {
+				sum += v
+				vals = append(vals, v)
+			}
+		}
+		if mean, _ := post.Predict(m); mean != sum/float64(len(vals)) {
+			t.Fatalf("Predict(%d) mean = %v, sweep kernel gives %v", m, mean, sum/float64(len(vals)))
+		}
+
+		sort.Float64s(vals)
+		for _, q := range []float64{0.05, 0.5, 0.95} {
+			idx := q * float64(len(vals)-1)
+			lo := int(idx)
+			frac := idx - float64(lo)
+			want := vals[lo]*(1-frac) + vals[lo+1]*frac
+			if got := post.Quantile(m, q); got != want {
+				t.Fatalf("Quantile(%d, %v) = %v, sweep kernel gives %v", m, q, got, want)
+			}
+		}
+
+		for target, sweep := range sweeps {
+			// The sweep's fixed summation tree: serial within each
+			// sweepBlock-sample block, block partials in block order.
+			var total float64
+			count := 0
+			for lo := 0; lo < len(rows); lo += sweepBlock {
+				var bs float64
+				bc := 0
+				for i := lo; i < len(rows) && i < lo+sweepBlock; i++ {
+					if v := rows[i][k]; !math.IsNaN(v) {
+						bs += gaussCDF((v - target) / ens.sigma(samples[i]))
+						bc++
+					}
+				}
+				total += bs
+				count += bc
+			}
+			want := total / float64(count)
+			if got := post.ProbAtLeast(m, target); got != want {
+				t.Fatalf("ProbAtLeast(%d, %v) = %v, sweep kernel gives %v", m, target, got, want)
+			}
+			if sweep[k] != want {
+				t.Fatalf("ProbSweep[%d] (target %v) = %v, sweep kernel gives %v", k, target, sweep[k], want)
+			}
+		}
+	}
+}
+
+// TestLogPosteriorAllocatesNothing pins the sampler's hot path: once a
+// walker's scratch has grown, a logPosterior evaluation allocates
+// nothing.
+func TestLogPosteriorAllocatesNothing(t *testing.T) {
+	e := newEnsemble(Models(), 120)
+	y := synthCurve(30, 0.7, 0.04, 0.01, 3)
+	s := new(scratch)
+	th := e.initVector(y, DefaultAsym(y), s)
+	if lp := e.logPosterior(y, th, s); math.IsInf(lp, -1) {
+		t.Fatalf("init vector has zero posterior density")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { e.logPosterior(y, th, s) }); allocs != 0 {
+		t.Fatalf("logPosterior allocates %v times per call, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package curve
 
 import (
 	"math"
+	"sync"
 )
 
 // ensemble is the combined model y(x) = sum_k w_k f_k(x; theta_k) + eps,
@@ -17,6 +18,13 @@ type ensemble struct {
 	offsets []int // start of each model's theta within the flat vector
 	dim     int   // total parameter count
 	xlim    float64
+
+	// table is the epoch column 1..xlim with its logs, built once per
+	// fit: the likelihood, the sweep and the scalar queries all slice
+	// their columns out of it.
+	table Epochs
+	// ends is the prior's two-point column {1, xlim}.
+	ends Epochs
 }
 
 func newEnsemble(models []Model, xlim int) *ensemble {
@@ -28,27 +36,77 @@ func newEnsemble(models []Model, xlim int) *ensemble {
 		off += m.NumParams()
 	}
 	e.dim = off + 1 // + logSigma
+	xs := make([]float64, xlim)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	e.table = newEpochs(xs)
+	e.ends = newEpochs([]float64{1, e.xlim})
 	return e
+}
+
+// column returns the epoch column m = from..to, each m clamped to >= 1
+// like every other query. A range inside 1..xlim is a view of the
+// per-fit table; anything else is built here, computing the logs that
+// the table does not cover.
+func (e *ensemble) column(from, to int) Epochs {
+	if from >= 1 && to <= len(e.table.X) {
+		return Epochs{X: e.table.X[from-1 : to], Log: e.table.Log[from-1 : to], Log1: e.table.Log1[from-1 : to]}
+	}
+	xs := make([]float64, to-from+1)
+	for k := range xs {
+		xs[k] = float64(max(from+k, 1))
+	}
+	return newEpochs(xs)
 }
 
 // sigma extracts the noise standard deviation.
 func (e *ensemble) sigma(th []float64) float64 { return math.Exp(th[e.dim-1]) }
 
-// eval computes the combined mean curve at x.
-func (e *ensemble) eval(x float64, th []float64) float64 {
-	var y float64
+// scratch is one evaluator's reusable workspace: the combined-curve
+// accumulator, one family's kernel output, and initVector's
+// per-family basis columns. Each walker and each sweep block holds its
+// own, so evaluation allocates nothing once the buffers have grown to
+// the widest column.
+type scratch struct{ acc, fam, basis []float64 }
+
+// scratchPool recycles workspaces across fits, sweeps and queries.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
+func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// eval computes the combined mean curve over the column ep into the
+// scratch accumulator and returns it (valid until the next eval on s).
+// Models are summed in family order and zero-weight models skipped; a
+// point where any weighted family is NaN or infinite is NaN. Each
+// point's sum is therefore the same whatever the column's width, so a
+// width-1 query and a sweep agree bit for bit.
+func (e *ensemble) eval(s *scratch, ep Epochs, th []float64) []float64 {
+	n := len(ep.X)
+	if cap(s.acc) < n {
+		s.acc = make([]float64, n)
+		s.fam = make([]float64, n)
+	}
+	acc, fam := s.acc[:n], s.fam[:n]
+	for k := range acc {
+		acc[k] = 0
+	}
 	for i, m := range e.models {
 		w := th[i]
 		if w == 0 {
 			continue
 		}
-		v := m.Eval(x, th[e.offsets[i]:e.offsets[i]+m.NumParams()])
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return math.NaN()
+		m.Kernel(fam, ep, th[e.offsets[i]:e.offsets[i]+m.NumParams()])
+		for k, v := range fam {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				acc[k] = math.NaN()
+				continue
+			}
+			acc[k] += w * v
 		}
-		y += w * v
 	}
-	return y
+	return acc
 }
 
 // logPrior encodes the weak prior of Domhan et al.: non-negative
@@ -56,7 +114,7 @@ func (e *ensemble) eval(x float64, th []float64) float64 {
 // scale and does not predict catastrophic collapse: y(1) within
 // [-0.05, 1.05], y(xlim) within [0, 1.05], and y(xlim) >= y(1) - 0.05
 // (learning curves trend upward on aggregate).
-func (e *ensemble) logPrior(th []float64) float64 {
+func (e *ensemble) logPrior(th []float64, s *scratch) float64 {
 	var wsum float64
 	for i := range e.models {
 		w := th[i]
@@ -72,8 +130,8 @@ func (e *ensemble) logPrior(th []float64) float64 {
 	if ls < math.Log(1e-4) || ls > math.Log(0.15) {
 		return math.Inf(-1)
 	}
-	y1 := e.eval(1, th)
-	yl := e.eval(e.xlim, th)
+	ends := e.eval(s, e.ends, th)
+	y1, yl := ends[0], ends[1]
 	if math.IsNaN(y1) || math.IsNaN(yl) {
 		return math.Inf(-1)
 	}
@@ -88,13 +146,14 @@ func (e *ensemble) logPrior(th []float64) float64 {
 
 // logLikelihood is the Gaussian observation model over the observed
 // prefix (y[i] observed at x = i+1).
-func (e *ensemble) logLikelihood(y []float64, th []float64) float64 {
+func (e *ensemble) logLikelihood(y []float64, th []float64, s *scratch) float64 {
 	sigma := e.sigma(th)
 	inv2 := 1 / (2 * sigma * sigma)
 	logNorm := -0.5*math.Log(2*math.Pi) - math.Log(sigma)
+	preds := e.eval(s, e.column(1, len(y)), th)
 	var ll float64
 	for i, obs := range y {
-		pred := e.eval(float64(i+1), th)
+		pred := preds[i]
 		if math.IsNaN(pred) {
 			return math.Inf(-1)
 		}
@@ -104,13 +163,14 @@ func (e *ensemble) logLikelihood(y []float64, th []float64) float64 {
 	return ll
 }
 
-// logPosterior is prior + likelihood.
-func (e *ensemble) logPosterior(y []float64, th []float64) float64 {
-	lp := e.logPrior(th)
+// logPosterior is prior + likelihood, evaluated in the caller's
+// scratch.
+func (e *ensemble) logPosterior(y []float64, th []float64, s *scratch) float64 {
+	lp := e.logPrior(th, s)
 	if math.IsInf(lp, -1) {
 		return lp
 	}
-	return lp + e.logLikelihood(y, th)
+	return lp + e.logLikelihood(y, th, s)
 }
 
 // initVector builds a starting parameter vector from the per-model
@@ -121,7 +181,7 @@ func (e *ensemble) logPosterior(y []float64, th []float64) float64 {
 // as noise. Samplers call it with a spread of asymptotes so the
 // initial walker ensemble covers the genuinely unconstrained "where
 // does this curve top out" direction.
-func (e *ensemble) initVector(y []float64, asym float64) []float64 {
+func (e *ensemble) initVector(y []float64, asym float64, s *scratch) []float64 {
 	th := make([]float64, e.dim)
 	k := len(e.models)
 	for i, m := range e.models {
@@ -129,20 +189,20 @@ func (e *ensemble) initVector(y []float64, asym float64) []float64 {
 	}
 
 	// Basis matrix: each family's init curve at the observed epochs.
+	n := len(y)
+	obs := e.column(1, n)
+	if cap(s.basis) < k*n {
+		s.basis = make([]float64, k*n)
+	}
 	basis := make([][]float64, k)
 	for i, m := range e.models {
-		col := make([]float64, len(y))
-		ok := true
-		for j := range y {
-			v := m.Eval(float64(j+1), th[e.offsets[i]:e.offsets[i]+m.NumParams()])
+		col := s.basis[i*n : (i+1)*n]
+		m.Kernel(col, obs, th[e.offsets[i]:e.offsets[i]+m.NumParams()])
+		for _, v := range col {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				ok = false
+				col = nil
 				break
 			}
-			col[j] = v
-		}
-		if !ok {
-			col = nil
 		}
 		basis[i] = col
 	}
@@ -165,9 +225,10 @@ func (e *ensemble) initVector(y []float64, asym float64) []float64 {
 	}
 
 	// Residual noise scale from the fitted combination.
+	preds := e.eval(s, obs, th)
 	var ss float64
-	for j, obs := range y {
-		d := obs - e.eval(float64(j+1), th)
+	for j, v := range y {
+		d := v - preds[j]
 		ss += d * d
 	}
 	sigma := math.Sqrt(ss / float64(len(y)))

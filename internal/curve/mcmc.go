@@ -26,19 +26,22 @@ import (
 // scheduling. Posterior draws are therefore bit-identical for any
 // worker count and any GOMAXPROCS.
 type sampler struct {
-	logProb func([]float64) float64
+	// logProb evaluates a position in the calling walker's scratch.
+	logProb func(th []float64, s *scratch) float64
 	dim     int
 	a       float64 // stretch parameter, conventionally 2
 	workers int     // parallel evaluators per half; <= 1 runs serial
 }
 
 // walker is the per-chain state: position, cached log-probability, a
-// private RNG stream, and a reusable proposal buffer.
+// private RNG stream, a reusable proposal buffer, and the evaluation
+// scratch its logProb calls run in.
 type walker struct {
 	pos      []float64
 	logp     float64
 	rng      *rand.Rand
 	proposal []float64
+	scratch  *scratch
 	accepted int
 }
 
@@ -76,8 +79,14 @@ func (s *sampler) run(positions [][]float64, logps []float64, iters, burn int, s
 			logp:     logps[i],
 			rng:      rand.New(rand.NewSource(walkerSeed(seed, i))),
 			proposal: make([]float64, s.dim),
+			scratch:  getScratch(),
 		}
 	}
+	defer func() {
+		for i := range ws {
+			putScratch(ws[i].scratch)
+		}
+	}()
 	half := n / 2
 	for it := 0; it < iters; it++ {
 		// First half proposes against the frozen second half, then the
@@ -145,7 +154,7 @@ func (s *sampler) step(ws []walker, i, clo, chi int) {
 	for d := 0; d < s.dim; d++ {
 		w.proposal[d] = xj[d] + z*(w.pos[d]-xj[d])
 	}
-	lp := s.logProb(w.proposal)
+	lp := s.logProb(w.proposal, w.scratch)
 	logAccept := float64(s.dim-1)*math.Log(z) + lp - w.logp
 	if lp > math.Inf(-1) && (logAccept >= 0 || math.Log(u+1e-300) < logAccept) {
 		w.pos, w.proposal = w.proposal, w.pos

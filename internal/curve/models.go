@@ -18,15 +18,37 @@ import (
 	"math"
 )
 
+// Epochs is a column of evaluation points with their log tables:
+// Log[k] = log X[k] and Log1[k] = log(X[k]+1). Every family is written
+// in terms of these, so a fit builds the tables once for the epochs it
+// evaluates (see ensemble.column) instead of taking a math.Pow per
+// point.
+type Epochs struct {
+	X, Log, Log1 []float64
+}
+
+// newEpochs builds the column for xs, computing its log tables.
+func newEpochs(xs []float64) Epochs {
+	ep := Epochs{X: xs, Log: make([]float64, len(xs)), Log1: make([]float64, len(xs))}
+	for k, x := range xs {
+		ep.Log[k] = math.Log(x)
+		ep.Log1[k] = math.Log(x + 1)
+	}
+	return ep
+}
+
 // Model is one parametric learning-curve family f(x; theta), x >= 1.
 type Model interface {
 	// Name identifies the family.
 	Name() string
 	// NumParams returns the dimensionality of theta.
 	NumParams() int
-	// Eval evaluates f(x; theta). Implementations must return NaN
-	// rather than panic for invalid parameters.
-	Eval(x float64, theta []float64) float64
+	// Kernel writes f(ep.X[k]; theta) to dst[k] for every point of the
+	// column (len(dst) == len(ep.X)). Terms that depend only on theta
+	// are computed once per call, and powers are taken as
+	// exp(a * log x) from the column's log table. Implementations must
+	// write NaN rather than panic for invalid parameters.
+	Kernel(dst []float64, ep Epochs, theta []float64)
 	// Init returns a heuristic starting theta for an observed curve
 	// (y[i] is the metric after epoch i+1) targeting the given
 	// asymptote. Samplers seed walkers with a spread of asymptote
@@ -131,6 +153,17 @@ func riseStats(y []float64, asym float64) (y0, yn, n, k float64) {
 	return y0, yn, n, k
 }
 
+// point is a reusable width-1 column for evaluating one family at
+// scattered x values without a prebuilt log table.
+type point [4]float64 // x, log x, log(x+1), f(x)
+
+// eval returns f(x; th): the width-1 kernel call.
+func (p *point) eval(m Model, x float64, th []float64) float64 {
+	p[0], p[1], p[2] = x, math.Log(x), math.Log(x+1)
+	m.Kernel(p[3:4], Epochs{X: p[0:1], Log: p[1:2], Log1: p[2:3]}, th)
+	return p[3]
+}
+
 // bestShape evaluates candidate parameter vectors (one per shape
 // hypothesis) against the observed prefix and returns the one with the
 // lowest squared error. Models use it to pick their shape parameter
@@ -138,11 +171,12 @@ func riseStats(y []float64, asym float64) (y0, yn, n, k float64) {
 func bestShape(y []float64, m Model, cands [][]float64) []float64 {
 	best := cands[0]
 	bestSSE := math.Inf(1)
+	pt := new(point)
 	for _, th := range cands {
 		var sse float64
 		ok := true
 		for i, obs := range y {
-			v := m.Eval(float64(i+1), th)
+			v := pt.eval(m, float64(i+1), th)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				ok = false
 				break
@@ -165,8 +199,11 @@ type vapModel struct{}
 func (vapModel) Name() string   { return "vap" }
 func (vapModel) NumParams() int { return 3 }
 
-func (vapModel) Eval(x float64, th []float64) float64 {
-	return math.Exp(th[0] + th[1]/x + th[2]*math.Log(x))
+func (vapModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	a, b, c := th[0], th[1], th[2]
+	for k, x := range ep.X {
+		dst[k] = math.Exp(a + b/x + c*ep.Log[k])
+	}
 }
 
 func (vapModel) Init(y []float64, asym float64) []float64 {
@@ -182,8 +219,11 @@ type pow3Model struct{}
 func (pow3Model) Name() string   { return "pow3" }
 func (pow3Model) NumParams() int { return 3 }
 
-func (pow3Model) Eval(x float64, th []float64) float64 {
-	return th[0] - th[1]*math.Pow(x, -th[2])
+func (pow3Model) Kernel(dst []float64, ep Epochs, th []float64) {
+	c, a, alpha := th[0], th[1], th[2]
+	for k, lx := range ep.Log {
+		dst[k] = c - a*math.Exp(-alpha*lx)
+	}
 }
 
 func (pow3Model) Init(y []float64, asym float64) []float64 {
@@ -209,12 +249,16 @@ type pow4Model struct{}
 func (pow4Model) Name() string   { return "pow4" }
 func (pow4Model) NumParams() int { return 4 }
 
-func (pow4Model) Eval(x float64, th []float64) float64 {
-	base := th[1]*x + th[2]
-	if base <= 0 {
-		return math.NaN()
+func (pow4Model) Kernel(dst []float64, ep Epochs, th []float64) {
+	c, a, b, alpha := th[0], th[1], th[2], th[3]
+	for k, x := range ep.X {
+		base := a*x + b
+		if base <= 0 {
+			dst[k] = math.NaN()
+			continue
+		}
+		dst[k] = c - math.Exp(-alpha*math.Log(base))
 	}
-	return th[0] - math.Pow(base, -th[3])
 }
 
 func (pow4Model) Init(y []float64, asym float64) []float64 {
@@ -233,12 +277,16 @@ type logLogLinearModel struct{}
 func (logLogLinearModel) Name() string   { return "logloglinear" }
 func (logLogLinearModel) NumParams() int { return 2 }
 
-func (logLogLinearModel) Eval(x float64, th []float64) float64 {
-	v := th[0]*math.Log(x) + th[1]
-	if v <= 0 {
-		return math.NaN()
+func (logLogLinearModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	a, b := th[0], th[1]
+	for k, lx := range ep.Log {
+		v := a*lx + b
+		if v <= 0 {
+			dst[k] = math.NaN()
+			continue
+		}
+		dst[k] = math.Log(v)
 	}
-	return math.Log(v)
 }
 
 func (logLogLinearModel) Init(y []float64, asym float64) []float64 {
@@ -255,8 +303,13 @@ type logPowerModel struct{}
 func (logPowerModel) Name() string   { return "logpower" }
 func (logPowerModel) NumParams() int { return 3 }
 
-func (logPowerModel) Eval(x float64, th []float64) float64 {
-	return th[0] / (1 + math.Pow(x/math.Exp(th[1]), th[2]))
+// (x/e^b)^c = exp(c*(log x - b)): the e^b division folds into the
+// exponent, so no per-call exp(b) is needed at all.
+func (logPowerModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	a, b, c := th[0], th[1], th[2]
+	for k, lx := range ep.Log {
+		dst[k] = a / (1 + math.Exp(c*(lx-b)))
+	}
 }
 
 func (logPowerModel) Init(y []float64, asym float64) []float64 {
@@ -282,12 +335,16 @@ type mmfModel struct{}
 func (mmfModel) Name() string   { return "mmf" }
 func (mmfModel) NumParams() int { return 4 }
 
-func (mmfModel) Eval(x float64, th []float64) float64 {
-	kx := th[2] * x
-	if kx < 0 {
-		return math.NaN()
+func (mmfModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	alpha, beta, kappa, delta := th[0], th[1], th[2], th[3]
+	if kappa < 0 {
+		fillNaN(dst)
+		return
 	}
-	return th[0] - (th[0]-th[1])/(1+math.Pow(kx, th[3]))
+	lk := powLogBase(kappa, delta)
+	for k, lx := range ep.Log {
+		dst[k] = alpha - (alpha-beta)/(1+math.Exp(delta*(lk+lx)))
+	}
 }
 
 func (mmfModel) Init(y []float64, asym float64) []float64 {
@@ -310,8 +367,11 @@ type exp4Model struct{}
 func (exp4Model) Name() string   { return "exp4" }
 func (exp4Model) NumParams() int { return 4 }
 
-func (exp4Model) Eval(x float64, th []float64) float64 {
-	return th[0] - math.Exp(-th[1]*math.Pow(x, th[3])+th[2])
+func (exp4Model) Kernel(dst []float64, ep Epochs, th []float64) {
+	c, a, b, alpha := th[0], th[1], th[2], th[3]
+	for k, lx := range ep.Log {
+		dst[k] = c - math.Exp(-a*math.Exp(alpha*lx)+b)
+	}
 }
 
 func (exp4Model) Init(y []float64, asym float64) []float64 {
@@ -339,8 +399,11 @@ type janoschekModel struct{}
 func (janoschekModel) Name() string   { return "janoschek" }
 func (janoschekModel) NumParams() int { return 4 }
 
-func (janoschekModel) Eval(x float64, th []float64) float64 {
-	return th[0] - (th[0]-th[1])*math.Exp(-th[2]*math.Pow(x, th[3]))
+func (janoschekModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	alpha, beta, kappa, delta := th[0], th[1], th[2], th[3]
+	for k, lx := range ep.Log {
+		dst[k] = alpha - (alpha-beta)*math.Exp(-kappa*math.Exp(delta*lx))
+	}
 }
 
 func (janoschekModel) Init(y []float64, asym float64) []float64 {
@@ -363,12 +426,16 @@ type weibullModel struct{}
 func (weibullModel) Name() string   { return "weibull" }
 func (weibullModel) NumParams() int { return 4 }
 
-func (weibullModel) Eval(x float64, th []float64) float64 {
-	kx := th[2] * x
-	if kx < 0 {
-		return math.NaN()
+func (weibullModel) Kernel(dst []float64, ep Epochs, th []float64) {
+	alpha, beta, kappa, delta := th[0], th[1], th[2], th[3]
+	if kappa < 0 {
+		fillNaN(dst)
+		return
 	}
-	return th[0] - (th[0]-th[1])*math.Exp(-math.Pow(kx, th[3]))
+	lk := powLogBase(kappa, delta)
+	for k, lx := range ep.Log {
+		dst[k] = alpha - (alpha-beta)*math.Exp(-math.Exp(delta*(lk+lx)))
+	}
 }
 
 func (weibullModel) Init(y []float64, asym float64) []float64 {
@@ -391,8 +458,11 @@ type ilog2Model struct{}
 func (ilog2Model) Name() string   { return "ilog2" }
 func (ilog2Model) NumParams() int { return 2 }
 
-func (ilog2Model) Eval(x float64, th []float64) float64 {
-	return th[0] - th[1]/math.Log(x+1)
+func (ilog2Model) Kernel(dst []float64, ep Epochs, th []float64) {
+	c, a := th[0], th[1]
+	for k, l1 := range ep.Log1 {
+		dst[k] = c - a/l1
+	}
 }
 
 func (ilog2Model) Init(y []float64, asym float64) []float64 {
@@ -411,14 +481,20 @@ type hill3Model struct{}
 func (hill3Model) Name() string   { return "hill3" }
 func (hill3Model) NumParams() int { return 3 }
 
-func (hill3Model) Eval(x float64, th []float64) float64 {
-	xe := math.Pow(x, th[1])
-	ke := math.Pow(th[2], th[1])
-	den := ke + xe
-	if den == 0 {
-		return math.NaN()
+func (hill3Model) Kernel(dst []float64, ep Epochs, th []float64) {
+	theta, eta, kappa := th[0], th[1], th[2]
+	// math.Pow keeps its sign rules for the once-per-call kappa^eta: a
+	// negative kappa is valid for integral eta and NaN otherwise.
+	ke := math.Pow(kappa, eta)
+	for k, lx := range ep.Log {
+		xe := math.Exp(eta * lx)
+		den := ke + xe
+		if den == 0 {
+			dst[k] = math.NaN()
+			continue
+		}
+		dst[k] = theta * xe / den
 	}
-	return th[0] * xe / den
 }
 
 func (hill3Model) Init(y []float64, asym float64) []float64 {
@@ -433,6 +509,25 @@ func (hill3Model) Init(y []float64, asym float64) []float64 {
 }
 
 func (hill3Model) Scales() []float64 { return []float64{0.1, 0.2, 5} }
+
+// powLogBase returns log kappa for a power (kappa*x)^delta taken as
+// exp(delta*(log kappa + log x)), kappa >= 0. At kappa == 0 the log is
+// -Inf, which reproduces math.Pow(0, delta) — 0 for delta > 0, +Inf
+// for delta < 0 — except at delta == 0, where 0 * -Inf would be NaN;
+// any finite log there yields math.Pow's 1.
+func powLogBase(kappa, delta float64) float64 {
+	if delta == 0 {
+		return 0
+	}
+	return math.Log(kappa)
+}
+
+// fillNaN marks every point of a column invalid.
+func fillNaN(dst []float64) {
+	for k := range dst {
+		dst[k] = math.NaN()
+	}
+}
 
 // modelNames renders the model list for error messages and docs.
 func modelNames(ms []Model) string {

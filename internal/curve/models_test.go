@@ -2,6 +2,7 @@ package curve
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -49,7 +50,7 @@ func TestModelClosedForms(t *testing.T) {
 		{hill3Model{}, []float64{1, 2, 3}, 3, 0.5},
 	}
 	for _, tt := range tests {
-		got := tt.model.Eval(tt.x, tt.theta)
+		got := evalAt(tt.model, tt.x, tt.theta)
 		if math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("%s(%v; %v) = %v, want %v", tt.model.Name(), tt.x, tt.theta, got, tt.want)
 		}
@@ -71,7 +72,7 @@ func TestModelInitPassesThroughEndpoint(t *testing.T) {
 	for _, asym := range []float64{yn + 0.05, 0.7, 0.9, 1.0} {
 		for _, m := range Models() {
 			th := m.Init(y, asym)
-			got := m.Eval(float64(len(y)), th)
+			got := evalAt(m, float64(len(y)), th)
 			if math.IsNaN(got) {
 				t.Errorf("%s(asym=%.2f): NaN at the endpoint", m.Name(), asym)
 				continue
@@ -150,5 +151,170 @@ func TestBestShapePicksBetterFit(t *testing.T) {
 	picked := bestShape(y, janoschekModel{}, [][]float64{bad, good})
 	if picked[3] != 0.6 {
 		t.Fatalf("bestShape picked delta %v, want 0.6", picked[3])
+	}
+}
+
+// evalAt evaluates one family at a single point: the width-1 kernel
+// call the scalar paths make.
+func evalAt(m Model, x float64, th []float64) float64 {
+	return new(point).eval(m, x, th)
+}
+
+// powOracle holds each family's closed form written directly with
+// math.Pow — the reference the exp(a*log x) kernels are checked
+// against. It lives in test code only.
+var powOracle = map[string]func(x float64, th []float64) float64{
+	"vap": func(x float64, th []float64) float64 {
+		return math.Exp(th[0] + th[1]/x + th[2]*math.Log(x))
+	},
+	"pow3": func(x float64, th []float64) float64 {
+		return th[0] - th[1]*math.Pow(x, -th[2])
+	},
+	"pow4": func(x float64, th []float64) float64 {
+		base := th[1]*x + th[2]
+		if base <= 0 {
+			return math.NaN()
+		}
+		return th[0] - math.Pow(base, -th[3])
+	},
+	"logloglinear": func(x float64, th []float64) float64 {
+		v := th[0]*math.Log(x) + th[1]
+		if v <= 0 {
+			return math.NaN()
+		}
+		return math.Log(v)
+	},
+	"logpower": func(x float64, th []float64) float64 {
+		return th[0] / (1 + math.Pow(x/math.Exp(th[1]), th[2]))
+	},
+	"mmf": func(x float64, th []float64) float64 {
+		kx := th[2] * x
+		if kx < 0 {
+			return math.NaN()
+		}
+		return th[0] - (th[0]-th[1])/(1+math.Pow(kx, th[3]))
+	},
+	"exp4": func(x float64, th []float64) float64 {
+		return th[0] - math.Exp(-th[1]*math.Pow(x, th[3])+th[2])
+	},
+	"janoschek": func(x float64, th []float64) float64 {
+		return th[0] - (th[0]-th[1])*math.Exp(-th[2]*math.Pow(x, th[3]))
+	},
+	"weibull": func(x float64, th []float64) float64 {
+		kx := th[2] * x
+		if kx < 0 {
+			return math.NaN()
+		}
+		return th[0] - (th[0]-th[1])*math.Exp(-math.Pow(kx, th[3]))
+	},
+	"ilog2": func(x float64, th []float64) float64 {
+		return th[0] - th[1]/math.Log(x+1)
+	},
+	"hill3": func(x float64, th []float64) float64 {
+		xe := math.Pow(x, th[1])
+		den := math.Pow(th[2], th[1]) + xe
+		if den == 0 {
+			return math.NaN()
+		}
+		return th[0] * xe / den
+	},
+}
+
+// oraclePoints are the evaluation points of the kernel oracle test:
+// the integer epochs the fits use plus non-integer x, where the log
+// table cannot be what makes the kernels agree.
+func oraclePoints() []float64 {
+	xs := []float64{math.E, 1.5, 2.5, 17.25, 99.9, 150.7}
+	for x := 1; x <= 200; x++ {
+		xs = append(xs, float64(x))
+	}
+	return xs
+}
+
+// checkKernel compares m's kernel over the column ep against the
+// math.Pow oracle at every point: the same NaN mask, and finite values
+// within 1e-12 relative. It also requires each width-1 call to equal
+// the wide column's value bit for bit, which is what lets the scalar
+// queries and the sweep share one kernel.
+func checkKernel(t *testing.T, m Model, ep Epochs, th []float64) {
+	t.Helper()
+	oracle := powOracle[m.Name()]
+	got := make([]float64, len(ep.X))
+	m.Kernel(got, ep, th)
+	for k, x := range ep.X {
+		want := oracle(x, th)
+		if math.IsNaN(got[k]) != math.IsNaN(want) {
+			t.Fatalf("%s(%v; %v) = %v, oracle %v: NaN masks differ", m.Name(), x, th, got[k], want)
+		}
+		if !math.IsNaN(want) && got[k] != want {
+			if rel := math.Abs(got[k]-want) / math.Abs(want); !(rel <= 1e-12) {
+				t.Fatalf("%s(%v; %v) = %v, oracle %v: relative error %v", m.Name(), x, th, got[k], want, rel)
+			}
+		}
+		if one := evalAt(m, x, th); math.Float64bits(one) != math.Float64bits(got[k]) {
+			t.Fatalf("%s(%v; %v): width-1 call %v != column value %v", m.Name(), x, th, one, got[k])
+		}
+	}
+}
+
+// TestKernelsMatchPowOracle checks every family's columnar kernel
+// against its math.Pow closed form over seeded random parameters drawn
+// the way the sampler spreads its walkers: each family's heuristic
+// init for a spread of asymptotes, jittered by its scales.
+func TestKernelsMatchPowOracle(t *testing.T) {
+	ep := newEpochs(oraclePoints())
+	rng := rand.New(rand.NewSource(12))
+	y := make([]float64, 30)
+	for i := range y {
+		y[i] = 0.1 + 0.6*(1-math.Exp(-0.07*float64(i+1)))
+	}
+	for _, m := range Models() {
+		if powOracle[m.Name()] == nil {
+			t.Fatalf("no oracle for %s", m.Name())
+		}
+		scales := m.Scales()
+		for draw := 0; draw < 200; draw++ {
+			th := m.Init(y, 0.7+0.3*rng.Float64())
+			for d := range th {
+				th[d] += 0.5 * scales[d] * rng.NormFloat64()
+			}
+			checkKernel(t, m, ep, th)
+		}
+	}
+}
+
+// TestKernelInvalidMasks pins the parameter edge cases where the
+// exp(a*log x) rewrite must reproduce math.Pow's special cases: a zero
+// base with delta <= 0 (MMF, Weibull), negative kappa (Hill3, MMF,
+// Weibull), and non-positive bases and logs (pow4, log-log-linear).
+func TestKernelInvalidMasks(t *testing.T) {
+	ep := newEpochs(oraclePoints())
+	tests := []struct {
+		model Model
+		theta []float64
+	}{
+		{mmfModel{}, []float64{0.8, 0.1, 0, 1}},
+		{mmfModel{}, []float64{0.8, 0.1, 0, 0}},
+		{mmfModel{}, []float64{0.8, 0.1, 0, -1}},
+		{mmfModel{}, []float64{0.8, 0.1, -0.2, 1}},
+		{mmfModel{}, []float64{0.8, 0.1, -0.2, 0}}, // negative base even where the power is 1
+		{weibullModel{}, []float64{0.8, 0.1, 0, 1.5}},
+		{weibullModel{}, []float64{0.8, 0.1, 0, 0}},
+		{weibullModel{}, []float64{0.8, 0.1, 0, -0.5}},
+		{weibullModel{}, []float64{0.8, 0.1, -0.02, 1}},
+		{weibullModel{}, []float64{0.8, 0.1, -0.02, 0}},
+		{hill3Model{}, []float64{0.8, 1.3, -5}},    // non-integral eta: NaN
+		{hill3Model{}, []float64{0.8, 2, -5}},      // integral eta: valid
+		{hill3Model{}, []float64{0.8, 1, -1}},      // zero denominator at x = 1
+		{hill3Model{}, []float64{0.8, 1.5, 0}},     // kappa^eta == 0
+		{pow4Model{}, []float64{0.5, -2, 0, 0.5}},  // base < 0
+		{pow4Model{}, []float64{0.5, 1, -1, 0.5}},  // base == 0 at x = 1
+		{pow4Model{}, []float64{0.5, -0.01, 1, 2}}, // base crosses 0 at x = 100
+		{logLogLinearModel{}, []float64{0, -1}},    // argument < 0
+		{logLogLinearModel{}, []float64{-1, 1}},    // argument == 0 at x = e
+		{logLogLinearModel{}, []float64{-0.5, 2}},  // argument crosses 0
+	}
+	for _, tt := range tests {
+		checkKernel(t, tt.model, ep, tt.theta)
 	}
 }

@@ -180,7 +180,9 @@ func (p *Predictor) fit(y []float64, xlim int, seed int64) (*Posterior, error) {
 	// not constrain where the curve tops out, and the ensemble must
 	// represent that uncertainty for P(m, y) to be honest.
 	yn := y[len(y)-1]
-	defaultInit := e.initVector(y, DefaultAsym(y))
+	sc := getScratch()
+	defer putScratch(sc)
+	defaultInit := e.initVector(y, DefaultAsym(y), sc)
 	scales := e.scales()
 	walkers := make([][]float64, p.cfg.Walkers)
 	logps := make([]float64, p.cfg.Walkers)
@@ -192,7 +194,7 @@ func (p *Predictor) fit(y []float64, xlim int, seed int64) (*Posterior, error) {
 				lo = 0.02
 			}
 			asym := lo + rng.Float64()*(1.02-lo)
-			init := e.initVector(y, asym)
+			init := e.initVector(y, asym, sc)
 			jitter := 0.05 + 0.10*float64(attempt%5)
 			for d := range w {
 				w[d] = init[d] + jitter*scales[d]*rng.NormFloat64()
@@ -201,7 +203,7 @@ func (p *Predictor) fit(y []float64, xlim int, seed int64) (*Posterior, error) {
 					w[d] = -w[d]
 				}
 			}
-			lp := e.logPosterior(y, w)
+			lp := e.logPosterior(y, w, sc)
 			if !math.IsInf(lp, -1) {
 				logps[i] = lp
 				break
@@ -209,7 +211,7 @@ func (p *Predictor) fit(y []float64, xlim int, seed int64) (*Posterior, error) {
 			if attempt > 200 {
 				// Fall back to the exact heuristic vector.
 				copy(w, defaultInit)
-				logps[i] = e.logPosterior(y, w)
+				logps[i] = e.logPosterior(y, w, sc)
 				break
 			}
 		}
@@ -226,12 +228,17 @@ func (p *Predictor) fit(y []float64, xlim int, seed int64) (*Posterior, error) {
 		stride = (total + p.cfg.MaxSamples - 1) / p.cfg.MaxSamples
 	}
 
-	post := &Posterior{ens: e, horizon: xlim, workers: p.cfg.workers()}
+	// Kept draws share one backing array sized up front: one allocation
+	// per fit instead of one per draw plus the slice's regrowth.
+	kept := (total + stride - 1) / stride
+	post := &Posterior{ens: e, horizon: xlim, workers: p.cfg.workers(), samples: make([][]float64, 0, kept)}
+	backing := make([]float64, kept*e.dim)
 	count := 0
-	s := &sampler{logProb: func(th []float64) float64 { return e.logPosterior(y, th) }, dim: e.dim, a: p.cfg.StretchA, workers: p.cfg.workers()}
+	s := &sampler{logProb: func(th []float64, s *scratch) float64 { return e.logPosterior(y, th, s) }, dim: e.dim, a: p.cfg.StretchA, workers: p.cfg.workers()}
 	accepted := s.run(walkers, logps, p.cfg.Iters, burn, sampleSeed, func(th []float64, lp float64) {
 		if count%stride == 0 {
-			cp := make([]float64, len(th))
+			cp := backing[:len(th):len(th)]
+			backing = backing[len(th):]
 			copy(cp, th)
 			post.samples = append(post.samples, cp)
 		}
@@ -290,17 +297,18 @@ const sweepParallelWork = 1 << 14
 // ProbSweep returns P(y(m) >= target | observations) for every epoch
 // m in [from, to] inclusive (element k corresponds to m = from+k) in
 // one sample-major pass: each posterior sample's curve is evaluated
-// once per epoch and its noise scale once in total, instead of once
-// per (epoch, query) as repeated ProbAtLeast calls would, and sample
-// blocks fan out across the fit's worker pool when the range is wide
-// enough to pay for it. Element k is bit-identical to
-// ProbAtLeast(from+k, target) — the scalar path is a width-1 sweep
+// once over the whole epoch column and its noise scale once in total,
+// instead of once per (epoch, query) as repeated ProbAtLeast calls
+// would, and sample blocks fan out across the fit's worker pool when
+// the range is wide enough to pay for it. Element k is bit-identical
+// to ProbAtLeast(from+k, target) — the scalar path is a width-1 sweep
 // over the same fixed summation tree.
 func (p *Posterior) ProbSweep(from, to int, target float64) []float64 {
 	if to < from {
 		to = from
 	}
 	width := to - from + 1
+	col := p.ens.column(from, to) // epochs below 1 clamp like the scalar path
 	n := len(p.samples)
 	nb := (n + sweepBlock - 1) / sweepBlock
 	sums := make([][]float64, nb)
@@ -312,14 +320,11 @@ func (p *Posterior) ProbSweep(from, to int, target float64) []float64 {
 		}
 		bs := make([]float64, width)
 		bc := make([]int, width)
+		sc := getScratch()
+		defer putScratch(sc)
 		for _, th := range p.samples[lo:hi] {
 			sigma := p.ens.sigma(th)
-			for k := 0; k < width; k++ {
-				m := from + k
-				if m < 1 {
-					m = 1 // same epoch clamp as the scalar path
-				}
-				pred := p.ens.eval(float64(m), th)
+			for k, pred := range p.ens.eval(sc, col, th) {
 				if math.IsNaN(pred) {
 					continue
 				}
@@ -397,11 +402,13 @@ func (p *Posterior) predictLocked(m int) (mean, std float64) {
 	if v, ok := p.cache[m]; ok {
 		return v[0], v[1]
 	}
-	x := float64(m)
+	col := p.ens.column(m, m)
+	sc := getScratch()
+	defer putScratch(sc)
 	var sum, sumsq float64
 	n := 0
 	for _, th := range p.samples {
-		pred := p.ens.eval(x, th)
+		pred := p.ens.eval(sc, col, th)[0]
 		if math.IsNaN(pred) {
 			continue
 		}
@@ -498,10 +505,12 @@ func (p *Posterior) sortedLocked(m int) []float64 {
 	if v, ok := p.sorted[m]; ok {
 		return v
 	}
-	x := float64(m)
+	col := p.ens.column(m, m)
+	sc := getScratch()
+	defer putScratch(sc)
 	vals := make([]float64, 0, len(p.samples))
 	for _, th := range p.samples {
-		v := p.ens.eval(x, th)
+		v := p.ens.eval(sc, col, th)[0]
 		if !math.IsNaN(v) {
 			vals = append(vals, v)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -56,9 +57,21 @@ func bootServer(t *testing.T, slots, maxExps int, reg *obs.Registry) (*Server, *
 
 func submitExp(t *testing.T, hs *httptest.Server, body string, header map[string]string) string {
 	t.Helper()
-	req, err := http.NewRequest("POST", hs.URL+"/v1/experiments", strings.NewReader(body))
+	id, _, err := trySubmit(hs, body, header)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return id
+}
+
+// trySubmit posts one experiment. It returns the new ID on 201, the
+// server's Retry-After hint on 429 (with the refusal as the error), and
+// an error for anything else; it never touches a testing.T, so it is
+// safe off the test goroutine.
+func trySubmit(hs *httptest.Server, body string, header map[string]string) (id string, retryAfter time.Duration, err error) {
+	req, err := http.NewRequest("POST", hs.URL+"/v1/experiments", strings.NewReader(body))
+	if err != nil {
+		return "", 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, v := range header {
@@ -66,40 +79,64 @@ func submitExp(t *testing.T, hs *httptest.Server, body string, header map[string
 	}
 	resp, err := hs.Client().Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return "", 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, b)
+		err := fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, b)
+		if resp.StatusCode == http.StatusTooManyRequests {
+			secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if perr != nil || secs <= 0 {
+				return "", 0, fmt.Errorf("%v (unusable Retry-After %q)", err, resp.Header.Get("Retry-After"))
+			}
+			return "", time.Duration(secs) * time.Second, err
+		}
+		return "", 0, err
 	}
 	var out struct {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+		return "", 0, err
 	}
-	return out.ID
+	return out.ID, 0, nil
 }
 
 func getBody(t *testing.T, hs *httptest.Server, path string) (int, string) {
 	t.Helper()
-	resp, err := hs.Client().Get(hs.URL + path)
+	code, body, err := tryGet(hs, path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return code, body
+}
+
+// tryGet is getBody without a testing.T, for use off the test
+// goroutine.
+func tryGet(hs *httptest.Server, path string) (int, string, error) {
+	resp, err := hs.Client().Get(hs.URL + path)
+	if err != nil {
+		return 0, "", err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", err
 	}
-	return resp.StatusCode, string(b)
+	return resp.StatusCode, string(b), nil
 }
 
 // Satellite: the /metrics rollup must be safe (and race-clean) against
 // experiments being created and canceled concurrently — live
 // registries are snapshotted under the server lock, finished ones are
 // never rolled up.
+//
+// The experiment cap is deliberately reachable here: the uncanceled
+// half of the churn runs to completion while new submissions keep
+// arriving. A full cap is admission control working, so the churner
+// paces itself on the server's Retry-After, and every submission must
+// eventually be admitted. Failures travel back to the test goroutine.
 func TestMetricsRollupUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn test skipped in -short mode")
@@ -109,6 +146,23 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// One slot per goroutine (the churner and four scrapers), each of
+	// which reports at most one failure and then returns.
+	errs := make(chan error, 5)
+	// submit retries a refused submission after the server's
+	// Retry-After, a bounded number of times.
+	submit := func(body string) (string, error) {
+		for attempt := 0; ; attempt++ {
+			id, retryAfter, err := trySubmit(hs, body, nil)
+			if err == nil {
+				return id, nil
+			}
+			if retryAfter == 0 || attempt == 3 {
+				return "", err
+			}
+			time.Sleep(retryAfter)
+		}
+	}
 	// Churner: submit short experiments and cancel half of them.
 	wg.Add(1)
 	go func() {
@@ -119,7 +173,11 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			id := submitExp(t, hs, fmt.Sprintf(`{"tenant":"t%d","maxJobs":2,"seed":%d,"maxDurationSec":7776000}`, i%3, i), nil)
+			id, err := submit(fmt.Sprintf(`{"tenant":"t%d","maxJobs":2,"seed":%d,"maxDurationSec":7776000}`, i%3, i))
+			if err != nil {
+				errs <- fmt.Errorf("churn submission %d: %w", i, err)
+				return
+			}
 			if i%2 == 0 {
 				resp, err := hs.Client().Post(hs.URL+"/v1/experiments/"+id+"/cancel", "application/json", nil)
 				if err == nil {
@@ -141,12 +199,20 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				if code, body := getBody(t, hs, "/metrics"); code != 200 || !strings.Contains(body, "hyperdrive_serve_experiments_total") {
-					t.Errorf("/metrics under churn: HTTP %d", code)
+				code, body, err := tryGet(hs, "/metrics")
+				if err == nil && (code != 200 || !strings.Contains(body, "hyperdrive_serve_experiments_total")) {
+					err = fmt.Errorf("HTTP %d", code)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("/metrics under churn: %w", err)
 					return
 				}
-				if code, _ := getBody(t, hs, "/healthz"); code != 200 && code != 503 {
-					t.Errorf("/healthz under churn: HTTP %d", code)
+				code, _, err = tryGet(hs, "/healthz")
+				if err == nil && code != 200 && code != 503 {
+					err = fmt.Errorf("HTTP %d", code)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("/healthz under churn: %w", err)
 					return
 				}
 			}
@@ -155,6 +221,10 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 	time.Sleep(2 * time.Second)
 	close(stop)
 	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 func TestHealthAndReadyEndpoints(t *testing.T) {

@@ -27,6 +27,12 @@ go test -race -run 'TestChaos' -count=1 -timeout 5m ./internal/cluster
 echo ">> go test -race -run TestMultiTenantChaosE2E ./internal/serve"
 go test -race -run 'TestMultiTenantChaosE2E' -count=1 -timeout 5m ./internal/serve
 
+# Stop-path stress: Close, terminate and connection loss raced against
+# one another on agents and worker pools, many times over. A double
+# close of a job's stop channel panics here.
+echo ">> go test -race -count=50 -run StopPathsRace ./internal/cluster"
+go test -race -count=50 -run 'StopPathsRace|StopSignal' -timeout 5m ./internal/cluster
+
 # hyperdrived smoke: boot the multi-tenant server on loopback, submit
 # two tenant experiments over HTTP, poll both to completion, and
 # exercise the tenant/events/obs surfaces — including the fleet
