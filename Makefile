@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check fuzz-smoke bench-obs bench-fit bench-trace bench-quality bench-sched bench-serve bench-fleet trace-demo report-demo
+.PHONY: build test lint check fuzz-smoke bench-overhead bench-fit bench-sched bench-serve bench-fleet trace-demo report-demo
 
 build:
 	$(GO) build ./...
@@ -28,48 +28,38 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadQualityLog$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateTraceEvents$$' -fuzztime $(FUZZTIME) ./internal/obs
 
-# bench-obs: measure obs-registry overhead on the simulator hot path
-# and refresh the committed baseline.
-bench-obs:
-	$(GO) run ./cmd/hdbench -obs-bench BENCH_obs.json
+# The bench-* targets measure one subsystem at full scale and refresh
+# its committed BENCH_*.json baseline (scripts/check.sh smokes the same
+# benches at -scale fast).
+
+# bench-overhead: measure what the obs registry, trace export and
+# quality audit cost the simulator hot path (registry-vs-off gate < 3%
+# on the POP scenario).
+bench-overhead:
+	$(GO) run ./cmd/hdbench -overhead-bench BENCH_overhead.json -scale full
 
 # bench-fit: measure serial-vs-parallel MCMC fit latency and the
-# batch-sweep speedup at the paper's MCMC budget, and refresh the
-# committed baseline.
+# batch-sweep speedup at the paper's MCMC budget.
 bench-fit:
-	$(GO) run ./cmd/hdbench -fit-bench BENCH_fit.json
-
-# bench-trace: measure the tracing stack's overhead (flight recorder +
-# Chrome trace export) on the simulator hot path and refresh the
-# committed baseline.
-bench-trace:
-	$(GO) run ./cmd/hdbench -trace-bench BENCH_trace.json
-
-# bench-quality: measure the search-quality audit's overhead on the
-# simulator hot path (disabled-path gate < 3%) and refresh the
-# committed baseline.
-bench-quality:
-	$(GO) run ./cmd/hdbench -quality-bench BENCH_quality.json
+	$(GO) run ./cmd/hdbench -fit-bench BENCH_fit.json -scale full
 
 # bench-sched: measure scheduler-core scale-out at fleet scale (1k
 # agents, 16k slots): sharded vs single-lock slot pool under churn
-# (speedup gate >= 5x) plus e2e decision latency over real sockets, and
-# refresh the committed baseline.
+# (speedup gate >= 5x) plus e2e decision latency over real sockets.
 bench-sched:
-	$(GO) run ./cmd/hdbench -sched-bench BENCH_sched.json
+	$(GO) run ./cmd/hdbench -sched-bench BENCH_sched.json -scale full
 
 # bench-serve: measure the multi-tenant service path (hyperdrived):
 # submit→first-decision latency over the full HTTP stack and API
-# throughput under the per-tenant rate limit (429 + Retry-After gate),
-# and refresh the committed baseline.
+# throughput under the per-tenant rate limit (429 + Retry-After gate).
 bench-serve:
-	$(GO) run ./cmd/hdbench -serve-bench BENCH_serve.json
+	$(GO) run ./cmd/hdbench -serve-bench BENCH_serve.json -scale full
 
 # bench-fleet: measure the fleet observability layer's overhead on the
 # broker lease hot path (disabled-path gate < 3%) and the instrumented
-# API request path, and refresh the committed baseline.
+# API request path.
 bench-fleet:
-	$(GO) run ./cmd/hdbench -fleet-bench BENCH_fleet.json
+	$(GO) run ./cmd/hdbench -fleet-bench BENCH_fleet.json -scale full
 
 # report-demo: replay a deterministic simulated POP experiment with the
 # quality audit on and render its calibration report into results/.

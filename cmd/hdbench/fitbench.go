@@ -1,25 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/core"
 	"github.com/hyperdrive-ml/hyperdrive/internal/curve"
-	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 )
-
-// fitArm is one measured MCMC-fit configuration in BENCH_fit.json.
-type fitArm struct {
-	Workers int     `json:"workers"`
-	MinMS   float64 `json:"min_ms"` // min over reps
-	Reps    int     `json:"reps"`
-}
 
 // fitBenchReport is the BENCH_fit.json schema: the measured latency of
 // the prediction hot path (§5.2 cut the MCMC budget 2500 -> 700 purely
@@ -31,21 +21,20 @@ type fitArm struct {
 // latency. The >= 2x fit gate only binds on hosts with >= 4 cores:
 // below that the pool has nothing to fan out over.
 type fitBenchReport struct {
-	Config        string  `json:"config"` // "paper" | "fast"
-	Cores         int     `json:"cores"`
-	Observations  int     `json:"observations"`
-	Horizon       int     `json:"horizon"`
-	Serial        fitArm  `json:"serial"`
-	Parallel      fitArm  `json:"parallel"`
-	FitSpeedup    float64 `json:"fit_speedup"`
-	SweepEpochs   int     `json:"sweep_epochs"`
-	PerQueryMS    float64 `json:"per_query_ms"`
-	BatchMS       float64 `json:"batch_ms"`
-	SweepSpeedup  float64 `json:"sweep_speedup"`
-	Deterministic bool    `json:"deterministic"`
-	ThresholdX    float64 `json:"threshold_x"`
-	Gated         bool    `json:"gated"` // cores >= 4: the threshold binds
-	Pass          bool    `json:"pass"`
+	host
+	Config          string  `json:"config"` // MCMC budget: "paper" | "fast"
+	Observations    int     `json:"observations"`
+	Horizon         int     `json:"horizon"`
+	ParallelWorkers int     `json:"parallel_workers"`
+	Fit             armSet  `json:"fit"` // serial | parallel, one fit per rep
+	FitSpeedup      float64 `json:"fit_speedup"`
+	SweepEpochs     int     `json:"sweep_epochs"`
+	Sweep           armSet  `json:"sweep"` // per_query | batch, one estimate per rep
+	SweepSpeedup    float64 `json:"sweep_speedup"`
+	Deterministic   bool    `json:"deterministic"`
+	ThresholdX      float64 `json:"threshold_x"`
+	Gated           bool    `json:"gated"` // cores >= 4: the threshold binds
+	Pass            bool    `json:"pass"`
 }
 
 // fitBenchCurve generates the measured workload: a noisy rising
@@ -60,149 +49,97 @@ func fitBenchCurve(n int, seed int64) []float64 {
 	return y
 }
 
-// measureFit times reps fits at the given worker count and returns the
-// minimum (co-tenant noise only adds time) plus the last posterior for
-// cross-arm determinism checks.
-func measureFit(cfg curve.Config, y []float64, horizon int, seed int64, reps int) (fitArm, *curve.Posterior, error) {
-	arm := fitArm{Workers: cfg.Workers, Reps: reps}
-	pred, err := curve.NewPredictor(cfg)
-	if err != nil {
-		return arm, nil, err
-	}
-	var post *curve.Posterior
-	if post, err = pred.Fit(y, horizon, seed); err != nil { // warm-up
-		return arm, nil, err
-	}
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		post, err = pred.Fit(y, horizon, seed)
-		d := time.Since(t0)
-		if err != nil {
-			return arm, nil, err
-		}
-		if ms := d.Seconds() * 1e3; ms < best {
-			best = ms
-		}
-	}
-	arm.MinMS = best
-	return arm, post, nil
-}
-
 // runFitBench measures serial-vs-parallel fit latency and per-query vs
-// batch sweep latency, writes the report to path, and mirrors the
-// headline numbers onto the obs registry metrics
-// (hyperdrive_mcmc_parallel_workers, hyperdrive_mcmc_fit_speedup).
+// batch sweep latency and writes the report to path.
 func runFitBench(path, scale string, seed int64) error {
-	cfg := curve.PaperConfig()
-	reps := 5
-	if scale == "fast" {
-		cfg = curve.FastConfig()
-		reps = 3
-	} else if scale != "paper" {
-		return fmt.Errorf("unknown -fit-scale %q (want fast | paper)", scale)
+	full, err := scaleOf(scale)
+	if err != nil {
+		return err
+	}
+	rep := &fitBenchReport{Config: "paper", ThresholdX: 2}
+	cfg, reps := curve.PaperConfig(), 5
+	if !full {
+		rep.Config, cfg, reps = "fast", curve.FastConfig(), 3
 	}
 
 	const nObs, horizon = 30, 120
+	rep.Observations, rep.Horizon = nObs, horizon
 	y := fitBenchCurve(nObs, seed)
 
-	serialCfg := cfg
-	serialCfg.Workers = 1
-	parallelCfg := cfg
-	parallelCfg.Workers = runtime.NumCPU()
-
-	serial, serialPost, err := measureFit(serialCfg, y, horizon, seed, reps)
+	rep.ParallelWorkers = runtime.NumCPU()
+	preds := map[string]*curve.Predictor{}
+	for arm, workers := range map[string]int{"serial": 1, "parallel": rep.ParallelWorkers} {
+		c := cfg
+		c.Workers = workers
+		if preds[arm], err = curve.NewPredictor(c); err != nil {
+			return err
+		}
+	}
+	// The last posterior of each arm, for the determinism cross-check.
+	posts := map[string]*curve.Posterior{}
+	rep.Fit, err = measureArms([]string{"serial", "parallel"}, reps, func(arm string) (time.Duration, error) {
+		t0 := time.Now()
+		post, err := preds[arm].Fit(y, horizon, seed)
+		d := time.Since(t0)
+		posts[arm] = post
+		return d, err
+	})
 	if err != nil {
 		return err
 	}
-	parallel, parallelPost, err := measureFit(parallelCfg, y, horizon, seed, reps)
-	if err != nil {
-		return err
-	}
-
-	rep := fitBenchReport{
-		Config:       scale,
-		Cores:        runtime.NumCPU(),
-		Observations: nObs,
-		Horizon:      horizon,
-		Serial:       serial,
-		Parallel:     parallel,
-		FitSpeedup:   serial.MinMS / parallel.MinMS,
-		ThresholdX:   2,
-	}
-
-	// Determinism cross-check: both arms must hold byte-identical
-	// posteriors (the tentpole's core guarantee).
-	rep.Deterministic = postsEqual(serialPost, parallelPost)
+	rep.FitSpeedup = rep.Fit.ratio("serial", "parallel")
+	// Both arms must hold byte-identical posteriors (the parallel
+	// sampler's core guarantee).
+	rep.Deterministic = postsEqual(posts["serial"], posts["parallel"])
 
 	// Sweep benchmark: one boundary's full §3.1.1 estimate, issued the
 	// old way (one posterior pass per epoch) and the batch way (one
 	// sample-major sweep). Typical boundary: 30 epochs observed, target
 	// not yet met, generous budget so the sum runs the whole horizon.
 	const target = 0.72
+	post := posts["serial"]
 	curEpoch := nObs
 	epochDur := time.Minute
 	remaining := time.Duration(horizon) * time.Hour
 	rep.SweepEpochs = horizon - curEpoch
-	sweepReps := 20 * reps
-	perQuery := func() core.Estimate {
-		return core.EstimateERT("j", func(m int) float64 { return serialPost.ProbAtLeast(m, target) },
-			curEpoch, horizon, epochDur, remaining)
+	estimates := map[string]func() core.Estimate{
+		"per_query": func() core.Estimate {
+			return core.EstimateERT("j", func(m int) float64 { return post.ProbAtLeast(m, target) },
+				curEpoch, horizon, epochDur, remaining)
+		},
+		"batch": func() core.Estimate {
+			return core.EstimateERTBatch("j", func(from, to int) []float64 { return post.ProbSweep(from, to, target) },
+				curEpoch, horizon, epochDur, remaining)
+		},
 	}
-	batch := func() core.Estimate {
-		return core.EstimateERTBatch("j", func(from, to int) []float64 { return serialPost.ProbSweep(from, to, target) },
-			curEpoch, horizon, epochDur, remaining)
-	}
-	if a, b := perQuery(), batch(); a != b {
+	if a, b := estimates["per_query"](), estimates["batch"](); a != b {
 		return fmt.Errorf("batch estimate %+v diverged from per-query estimate %+v", b, a)
 	}
-	rep.PerQueryMS = minTimeMS(perQuery, sweepReps)
-	rep.BatchMS = minTimeMS(batch, sweepReps)
-	rep.SweepSpeedup = rep.PerQueryMS / rep.BatchMS
-
-	rep.Gated = rep.Cores >= 4
-	rep.Pass = rep.Deterministic && (!rep.Gated || rep.FitSpeedup >= rep.ThresholdX)
-
-	// Mirror onto the canonical metrics so a scraped hdbench process
-	// reports the same numbers the JSON records.
-	reg := obs.NewRegistry()
-	reg.Gauge(obs.MCMCParallelWorkers).Set(float64(parallel.Workers))
-	reg.Gauge(obs.MCMCFitSpeedup).Set(rep.FitSpeedup)
-
-	f, err := os.Create(path)
+	rep.Sweep, err = measureArms([]string{"per_query", "batch"}, 20*reps, func(arm string) (time.Duration, error) {
+		t0 := time.Now()
+		estimates[arm]()
+		return time.Since(t0), nil
+	})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	rep.SweepSpeedup = rep.Sweep.ratio("per_query", "batch")
+
+	rep.Gated = runtime.NumCPU() >= 4
+	rep.Pass = rep.Deterministic && (!rep.Gated || rep.FitSpeedup >= rep.ThresholdX)
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("mcmc fit (%s, %d obs): serial %.1fms, parallel[%d workers] %.1fms, speedup %.2fx (gate %gx on >=4 cores; %d cores, deterministic=%v)\n",
-		scale, nObs, serial.MinMS, parallel.Workers, parallel.MinMS, rep.FitSpeedup, rep.ThresholdX, rep.Cores, rep.Deterministic)
+		rep.Config, nObs, rep.Fit.get("serial").MinMS, rep.ParallelWorkers, rep.Fit.get("parallel").MinMS,
+		rep.FitSpeedup, rep.ThresholdX, rep.Cores, rep.Deterministic)
 	fmt.Printf("ert sweep (%d epochs): per-query %.2fms, batch %.2fms, speedup %.2fx\n",
-		rep.SweepEpochs, rep.PerQueryMS, rep.BatchMS, rep.SweepSpeedup)
-	fmt.Printf("report written to %s\n", path)
+		rep.SweepEpochs, rep.Sweep.get("per_query").MinMS, rep.Sweep.get("batch").MinMS, rep.SweepSpeedup)
 	if !rep.Pass {
 		return fmt.Errorf("fit bench failed: speedup %.2fx below %gx on %d cores (deterministic=%v)",
 			rep.FitSpeedup, rep.ThresholdX, rep.Cores, rep.Deterministic)
 	}
 	return nil
-}
-
-// minTimeMS times reps invocations of f and returns the minimum in ms.
-func minTimeMS(f func() core.Estimate, reps int) float64 {
-	f() // warm-up
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		f()
-		if ms := time.Since(t0).Seconds() * 1e3; ms < best {
-			best = ms
-		}
-	}
-	return best
 }
 
 // postsEqual compares two posteriors' derived surfaces bit-for-bit

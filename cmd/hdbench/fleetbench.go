@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"time"
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/checkpoint"
@@ -17,70 +14,44 @@ import (
 	"github.com/hyperdrive-ml/hyperdrive/internal/workload"
 )
 
-// fleetArm is one measured workload of the fleet observability bench.
-type fleetArm struct {
-	Ops            int     `json:"ops"`
-	Reps           int     `json:"reps"`
-	BaselineMS     float64 `json:"baseline_ms"`     // min over reps, Obs disabled
-	InstrumentedMS float64 `json:"instrumented_ms"` // min over reps, Obs enabled
-	OverheadPct    float64 `json:"overhead_pct"`
+// fleetWorkload is one hot path of the fleet observability bench,
+// measured with Obs disabled ("off") and enabled ("registry").
+type fleetWorkload struct {
+	Ops         int     `json:"ops"`
+	Arms        armSet  `json:"arms"`
+	OverheadPct float64 `json:"overhead_pct"` // registry vs off, by min
 }
 
 // fleetBenchReport is the BENCH_fleet.json schema: the cost of the
 // fleet observability layer on its two hot paths. The pass criterion
-// is the broker arm — every slot an experiment reserves or releases
-// crosses the lease fast path the starvation detector instruments —
-// while the API arm (middleware + rollup wiring on the HTTP surface)
-// is reported for context.
+// is the broker workload — every slot an experiment reserves or
+// releases crosses the lease fast path the starvation detector
+// instruments — while the API workload (middleware + rollup wiring on
+// the HTTP surface) is reported for context.
 type fleetBenchReport struct {
-	Broker       fleetArm `json:"broker_churn"`
-	API          fleetArm `json:"api_requests"`
-	OverheadPct  float64  `json:"overhead_pct"` // = broker arm
-	ThresholdPct float64  `json:"threshold_pct"`
-	Pass         bool     `json:"pass"`
+	host
+	Scale        string        `json:"scale"`
+	Broker       fleetWorkload `json:"broker_churn"`
+	API          fleetWorkload `json:"api_requests"`
+	OverheadPct  float64       `json:"overhead_pct"` // = broker workload
+	ThresholdPct float64       `json:"threshold_pct"`
+	Pass         bool          `json:"pass"`
 }
 
-// measureFleetArm times one closure pair (Obs disabled / enabled),
-// alternating arm order with min-over-reps, like every overhead bench
-// since BENCH_obs. The arm reports its own timed window so setup
-// (registry and broker construction, server boot) stays outside it —
-// that is deployment cost, not hot-path cost.
-func measureFleetArm(reps, ops int, arm func(instrumented bool) (time.Duration, error)) (fleetArm, error) {
-	fa := fleetArm{Ops: ops, Reps: reps}
-	run := func(instrumented bool) (time.Duration, error) {
-		runtime.GC()
-		return arm(instrumented)
+// measureFleet runs one workload's off/registry arms. Each arm reports
+// its own timed window so setup (registry and broker construction,
+// server boot) stays outside it — that is deployment cost, not
+// hot-path cost.
+func measureFleet(reps, ops int, arm func(instrumented bool) (time.Duration, error)) (fleetWorkload, error) {
+	w := fleetWorkload{Ops: ops}
+	arms, err := measureArms([]string{"off", "registry"}, reps, func(name string) (time.Duration, error) {
+		return arm(name == "registry")
+	})
+	if err != nil {
+		return w, err
 	}
-	// Warm both arms before measuring.
-	if _, err := run(false); err != nil {
-		return fa, err
-	}
-	if _, err := run(true); err != nil {
-		return fa, err
-	}
-	var baseline, instrumented []float64
-	for i := 0; i < reps; i++ {
-		var db, di time.Duration
-		var err error
-		if i%2 == 0 {
-			if db, err = run(false); err == nil {
-				di, err = run(true)
-			}
-		} else {
-			if di, err = run(true); err == nil {
-				db, err = run(false)
-			}
-		}
-		if err != nil {
-			return fa, err
-		}
-		baseline = append(baseline, db.Seconds()*1e3)
-		instrumented = append(instrumented, di.Seconds()*1e3)
-	}
-	fa.BaselineMS = minOf(baseline)
-	fa.InstrumentedMS = minOf(instrumented)
-	fa.OverheadPct = (fa.InstrumentedMS - fa.BaselineMS) / fa.BaselineMS * 100
-	return fa, nil
+	w.Arms, w.OverheadPct = arms, arms.pct("registry", "off")
+	return w, nil
 }
 
 // brokerChurnArm returns the gated workload: tenants cycling slots
@@ -221,22 +192,22 @@ func apiRequestArm(requests int) (func(bool) (time.Duration, error), func(), err
 // runFleetBench measures the fleet observability layer's disabled-path
 // overhead and writes the comparison to path.
 func runFleetBench(path, scale string, seed int64) error {
+	full, err := scaleOf(scale)
+	if err != nil {
+		return err
+	}
 	brokerReps, brokerRounds := 15, 400
 	apiReps, apiRequests := 9, 4000
 	threshold := 3.0
-	switch scale {
-	case "paper":
-	case "fast":
+	if !full {
 		// Smoke scale for check.sh: short timed windows, relaxed gate
 		// (a few hundred churn rounds are too noisy to resolve 3%).
 		brokerReps, brokerRounds = 5, 60
 		apiReps, apiRequests = 3, 400
 		threshold = 15
-	default:
-		return fmt.Errorf("unknown -fleet-scale %q (want paper or fast)", scale)
 	}
 
-	broker, err := measureFleetArm(brokerReps, brokerRounds, brokerChurnArm(64, 4, 2, brokerRounds))
+	broker, err := measureFleet(brokerReps, brokerRounds, brokerChurnArm(64, 4, 2, brokerRounds))
 	if err != nil {
 		return err
 	}
@@ -245,34 +216,26 @@ func runFleetBench(path, scale string, seed int64) error {
 		return err
 	}
 	defer cleanup()
-	api, err := measureFleetArm(apiReps, apiRequests, apiArm)
+	api, err := measureFleet(apiReps, apiRequests, apiArm)
 	if err != nil {
 		return err
 	}
 
-	rep := fleetBenchReport{
+	rep := &fleetBenchReport{
+		Scale:        scale,
 		Broker:       broker,
 		API:          api,
 		OverheadPct:  broker.OverheadPct,
 		ThresholdPct: threshold,
 	}
 	rep.Pass = rep.OverheadPct < rep.ThresholdPct
-
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	fmt.Printf("fleet overhead, broker churn (gated): baseline %.2fms, instrumented %.2fms, overhead %+.2f%% (threshold %g%%, pass=%v)\n",
-		broker.BaselineMS, broker.InstrumentedMS, broker.OverheadPct, rep.ThresholdPct, rep.Pass)
-	fmt.Printf("fleet overhead, api requests: baseline %.2fms, instrumented %.2fms, overhead %+.2f%%\n",
-		api.BaselineMS, api.InstrumentedMS, api.OverheadPct)
-	fmt.Printf("report written to %s\n", path)
+	fmt.Printf("fleet overhead, broker churn (gated): off %.2fms, registry %.2fms, overhead %+.2f%% (threshold %g%%, pass=%v)\n",
+		broker.Arms.get("off").MinMS, broker.Arms.get("registry").MinMS, broker.OverheadPct, rep.ThresholdPct, rep.Pass)
+	fmt.Printf("fleet overhead, api requests: off %.2fms, registry %.2fms, overhead %+.2f%%\n",
+		api.Arms.get("off").MinMS, api.Arms.get("registry").MinMS, api.OverheadPct)
 	if !rep.Pass {
 		return fmt.Errorf("fleet observability overhead %.2f%% exceeds %g%%", rep.OverheadPct, rep.ThresholdPct)
 	}

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -18,6 +16,7 @@ import (
 	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/param"
 	"github.com/hyperdrive-ml/hyperdrive/internal/policy"
+	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 )
 
 // schedSlotPool is the mutator surface shared by the sharded pool and
@@ -29,14 +28,6 @@ type schedSlotPool interface {
 	MarkOnline([]cluster.SlotID)
 }
 
-// churnArm is one measured pool implementation under the agent-churn
-// workload.
-type churnArm struct {
-	Name      string  `json:"name"`
-	MS        float64 `json:"ms"` // min over reps
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
 // churnReport is the gated half of BENCH_sched.json: slot-pool
 // throughput under reserve/release churn with agent flaps — the access
 // pattern a large fleet imposes on the scheduler core. The seed pool
@@ -44,23 +35,23 @@ type churnArm struct {
 // explodes with fleet size; the sharded pool's indexed free-lists make
 // the same transition O(1).
 type churnReport struct {
-	Agents        int        `json:"agents"`
-	SlotsPerAgent int        `json:"slots_per_agent"`
-	TotalSlots    int        `json:"total_slots"`
-	OpsPerAgent   int        `json:"ops_per_agent"`
-	FlapEvery     int        `json:"flap_every"`
-	Workers       int        `json:"workers"`
-	Reps          int        `json:"reps"`
-	Shards        int        `json:"shards"`
-	Arms          []churnArm `json:"arms"`
-	Speedup       float64    `json:"speedup"`
-	Threshold     float64    `json:"threshold"`
-	Pass          bool       `json:"pass"`
+	Agents        int     `json:"agents"`
+	SlotsPerAgent int     `json:"slots_per_agent"`
+	TotalSlots    int     `json:"total_slots"`
+	OpsPerAgent   int     `json:"ops_per_agent"`
+	FlapEvery     int     `json:"flap_every"`
+	Workers       int     `json:"workers"`
+	Shards        int     `json:"shards"`
+	Arms          armSet  `json:"arms"` // unsharded | sharded, one full workload per rep
+	Speedup       float64 `json:"speedup"`
+	Threshold     float64 `json:"threshold"`
+	Pass          bool    `json:"pass"`
 }
 
 // e2eReport is the observational half: real agents served over real
 // (chaos-wrapped, zero-fault) sockets, a full Experiment scheduling
-// against them, and the decision-latency distribution that results.
+// against them, and the exact distribution of its OnIterationFinish
+// latencies.
 type e2eReport struct {
 	Agents          int     `json:"agents"`
 	SlotsPerAgent   int     `json:"slots_per_agent"`
@@ -74,6 +65,7 @@ type e2eReport struct {
 
 // schedBenchReport is the BENCH_sched.json schema.
 type schedBenchReport struct {
+	host
 	Scale string      `json:"scale"`
 	Churn churnReport `json:"churn"`
 	E2E   e2eReport   `json:"e2e"`
@@ -114,44 +106,10 @@ func churnWorkload(p schedSlotPool, slots []cluster.SlotID, per, agentLo, agentH
 	}
 }
 
-// measureChurn times the full workload (agents × opsPerAgent ops split
-// across workers) for one pool constructor, reporting the minimum over
-// reps (noise only adds time).
-func measureChurn(build func([]cluster.SlotID) schedSlotPool, slots []cluster.SlotID, agents, per, opsPerAgent, flapEvery, workers, reps int) churnArm {
-	best := time.Duration(0)
-	for r := 0; r < reps; r++ {
-		p := build(slots)
-		runtime.GC()
-		var wg sync.WaitGroup
-		chunk := (agents + workers - 1) / workers
-		t0 := time.Now()
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > agents {
-				hi = agents
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				churnWorkload(p, slots, per, lo, hi, opsPerAgent, flapEvery)
-			}(lo, hi)
-		}
-		wg.Wait()
-		d := time.Since(t0)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	ops := float64(agents * opsPerAgent)
-	return churnArm{MS: best.Seconds() * 1e3, OpsPerSec: ops / best.Seconds()}
-}
-
 // runChurn benchmarks both pool implementations under the identical
-// workload and gates the sharded/unsharded speedup.
-func runChurn(agents, per, opsPerAgent, flapEvery int, threshold float64) churnReport {
+// workload (agents × opsPerAgent ops split across workers, on a fresh
+// pool every rep) and gates the sharded/unsharded speedup.
+func runChurn(agents, per, opsPerAgent, flapEvery int, threshold float64) (churnReport, error) {
 	slots := make([]cluster.SlotID, 0, agents*per)
 	for a := 0; a < agents; a++ {
 		for k := 0; k < per; k++ {
@@ -161,36 +119,69 @@ func runChurn(agents, per, opsPerAgent, flapEvery int, threshold float64) churnR
 	const workers, reps = 8, 3
 	rep := churnReport{
 		Agents: agents, SlotsPerAgent: per, TotalSlots: agents * per,
-		OpsPerAgent: opsPerAgent, FlapEvery: flapEvery,
-		Workers: workers, Reps: reps,
+		OpsPerAgent: opsPerAgent, FlapEvery: flapEvery, Workers: workers,
 		Shards:    cluster.NewResourceManager(slots).Shards(),
 		Threshold: threshold,
 	}
-	unsharded := measureChurn(func(s []cluster.SlotID) schedSlotPool {
-		return cluster.NewUnshardedResourceManager(s)
-	}, slots, agents, per, opsPerAgent, flapEvery, workers, reps)
-	unsharded.Name = "unsharded"
-	sharded := measureChurn(func(s []cluster.SlotID) schedSlotPool {
-		return cluster.NewResourceManager(s)
-	}, slots, agents, per, opsPerAgent, flapEvery, workers, reps)
-	sharded.Name = "sharded"
-	rep.Arms = []churnArm{unsharded, sharded}
-	if sharded.MS > 0 {
-		rep.Speedup = unsharded.MS / sharded.MS
+	build := map[string]func([]cluster.SlotID) schedSlotPool{
+		"unsharded": func(s []cluster.SlotID) schedSlotPool { return cluster.NewUnshardedResourceManager(s) },
+		"sharded":   func(s []cluster.SlotID) schedSlotPool { return cluster.NewResourceManager(s) },
 	}
+	chunk := (agents + workers - 1) / workers
+	arms, err := measureArms([]string{"unsharded", "sharded"}, reps, func(arm string) (time.Duration, error) {
+		p := build[arm](slots)
+		var wg sync.WaitGroup
+		t0 := time.Now()
+		for lo := 0; lo < agents; lo += chunk {
+			hi := min(lo+chunk, agents)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				churnWorkload(p, slots, per, lo, hi, opsPerAgent, flapEvery)
+			}()
+		}
+		wg.Wait()
+		return time.Since(t0), nil
+	})
+	if err != nil {
+		return rep, err
+	}
+	rep.Arms = arms
+	rep.Speedup = arms.ratio("unsharded", "sharded")
 	rep.Pass = rep.Speedup >= rep.Threshold
-	return rep
+	return rep, nil
 }
+
+// timedPolicy times every OnIterationFinish of the policy it wraps, so
+// the e2e arm reports exact latency quantiles over its own samples
+// rather than interpolating inside a histogram bucket. Unwrap keeps
+// the wrapped policy visible to the experiment's instrumentation.
+type timedPolicy struct {
+	policy.Policy
+	mu      sync.Mutex
+	samples []float64 // ms
+}
+
+func (p *timedPolicy) OnIterationFinish(ctx policy.Context, ev sched.Event) sched.Decision {
+	t0 := time.Now()
+	d := p.Policy.OnIterationFinish(ctx, ev)
+	ms := time.Since(t0).Seconds() * 1e3
+	p.mu.Lock()
+	p.samples = append(p.samples, ms)
+	p.mu.Unlock()
+	return d
+}
+
+func (p *timedPolicy) Unwrap() policy.Policy { return p.Policy }
 
 // runE2E boots real agents behind chaos listeners (zero faults — the
 // same wire path the chaos suite exercises), schedules a full
-// experiment across them over TCP, and reads the decision-latency
-// histogram the scheduler maintains anyway.
+// experiment across them over TCP, and times every decision it makes.
 func runE2E(agents, per, jobs int, seed int64) (e2eReport, error) {
 	rep := e2eReport{Agents: agents, SlotsPerAgent: per, Jobs: jobs}
 	clk := clock.NewScaled(time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC), 200000)
 	events := make(chan cluster.Event, 4096)
-	reg := obs.NewRegistry()
+	pol := &timedPolicy{Policy: policy.NewDefault()}
 
 	execs := make([]cluster.Executor, 0, agents)
 	var closers []func()
@@ -232,12 +223,12 @@ func runE2E(agents, per, jobs int, seed int64) (e2eReport, error) {
 	e, err := cluster.New(cluster.Config{
 		Workload:  "cifar10",
 		Generator: hypergen.NewFixed(cfgs),
-		Policy:    policy.NewDefault(),
+		Policy:    pol,
 		Executor:  multi,
 		Events:    events,
 		MaxJobs:   jobs,
 		Clock:     clk,
-		Obs:       reg,
+		Obs:       obs.NewRegistry(),
 		Seed:      seed,
 	})
 	if err != nil {
@@ -249,14 +240,14 @@ func runE2E(agents, per, jobs int, seed int64) (e2eReport, error) {
 	}
 	wall := time.Since(t0)
 
-	h := reg.Histogram(obs.DecisionLatencySeconds)
-	rep.Decisions = h.Count()
+	sort.Float64s(pol.samples)
+	rep.Decisions = int64(len(pol.samples))
 	rep.WallMS = wall.Seconds() * 1e3
 	if wall > 0 {
 		rep.DecisionsPerSec = float64(rep.Decisions) / wall.Seconds()
 	}
-	rep.P50MS = h.Quantile(0.5) * 1e3
-	rep.P99MS = h.Quantile(0.99) * 1e3
+	rep.P50MS = quantile(pol.samples, 0.5)
+	rep.P99MS = quantile(pol.samples, 0.99)
 	return rep, nil
 }
 
@@ -264,48 +255,40 @@ func runE2E(agents, per, jobs int, seed int64) (e2eReport, error) {
 // BENCH_sched.json. The gate is the churn arm: the sharded pool must
 // beat the single-lock seed by the threshold at fleet scale.
 func runSchedBench(path, scale string, seed int64) error {
-	rep := schedBenchReport{Scale: scale}
-	switch scale {
-	case "paper":
-		// The paper-scale claim: 1k agents, 16k slots, ≥5x.
-		rep.Churn = runChurn(1000, 16, 96, 24, 5)
-	case "fast":
-		// Smoke scale for check.sh: small fleet, relaxed gate.
-		rep.Churn = runChurn(256, 4, 48, 6, 1.5)
-	default:
-		return fmt.Errorf("unknown -sched-scale %q (want paper or fast)", scale)
+	full, err := scaleOf(scale)
+	if err != nil {
+		return err
 	}
-
-	var err error
-	if scale == "paper" {
-		rep.E2E, err = runE2E(64, 4, 512, seed)
+	rep := &schedBenchReport{Scale: scale}
+	if full {
+		// The fleet-scale claim: 1k agents, 16k slots, ≥5x.
+		rep.Churn, err = runChurn(1000, 16, 96, 24, 5)
+		if err == nil {
+			rep.E2E, err = runE2E(64, 4, 512, seed)
+		}
 	} else {
-		rep.E2E, err = runE2E(8, 2, 32, seed)
+		// Smoke scale for check.sh: small fleet, relaxed gate.
+		rep.Churn, err = runChurn(256, 4, 48, 6, 1.5)
+		if err == nil {
+			rep.E2E, err = runE2E(8, 2, 32, seed)
+		}
 	}
 	if err != nil {
 		return err
 	}
 	rep.Pass = rep.Churn.Pass
-
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
+	ops := float64(rep.Churn.Agents * rep.Churn.OpsPerAgent)
+	unsharded, sharded := rep.Churn.Arms.get("unsharded"), rep.Churn.Arms.get("sharded")
 	fmt.Printf("slot-pool churn, %d agents x %d slots (%d shards): unsharded %.1fms (%.0f ops/s), sharded %.1fms (%.0f ops/s) — %.1fx, threshold %.1fx, pass=%v\n",
 		rep.Churn.Agents, rep.Churn.SlotsPerAgent, rep.Churn.Shards,
-		rep.Churn.Arms[0].MS, rep.Churn.Arms[0].OpsPerSec,
-		rep.Churn.Arms[1].MS, rep.Churn.Arms[1].OpsPerSec,
+		unsharded.MinMS, ops/unsharded.MinMS*1e3, sharded.MinMS, ops/sharded.MinMS*1e3,
 		rep.Churn.Speedup, rep.Churn.Threshold, rep.Churn.Pass)
-	fmt.Printf("e2e over sockets, %d agents x %d slots, %d jobs: %d decisions in %.0fms (%.0f/s), latency p50 %.3fms p99 %.3fms\n",
+	fmt.Printf("e2e over sockets, %d agents x %d slots, %d jobs: %d decisions in %.0fms (%.0f/s), latency p50 %.4fms p99 %.4fms\n",
 		rep.E2E.Agents, rep.E2E.SlotsPerAgent, rep.E2E.Jobs,
 		rep.E2E.Decisions, rep.E2E.WallMS, rep.E2E.DecisionsPerSec, rep.E2E.P50MS, rep.E2E.P99MS)
-	fmt.Printf("report written to %s\n", path)
 	if !rep.Pass {
 		return fmt.Errorf("sched bench gate failed: %.1fx < %.1fx", rep.Churn.Speedup, rep.Churn.Threshold)
 	}

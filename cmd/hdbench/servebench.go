@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,12 +23,13 @@ import (
 // BENCH_serve.json: how long a tenant waits between POSTing an
 // experiment and the scheduler's first recorded decision for it, over
 // the full HTTP path (admission, broker lease, experiment boot, slot
-// reservation, first training epoch, decision event).
+// reservation, first training epoch, decision event). The quantiles
+// are order statistics over every experiment's own firstDecisionMs.
 type serveLatencyReport struct {
 	Experiments int     `json:"experiments"`
 	SlotsTotal  int     `json:"slots_total"`
 	MaxJobsEach int     `json:"max_jobs_each"`
-	Samples     int64   `json:"samples"`
+	Samples     int     `json:"samples"`
 	P50MS       float64 `json:"p50_ms"`
 	P99MS       float64 `json:"p99_ms"`
 	WallMS      float64 `json:"wall_ms"`
@@ -51,6 +52,7 @@ type serveRateReport struct {
 
 // serveBenchReport is the BENCH_serve.json schema.
 type serveBenchReport struct {
+	host
 	Scale   string             `json:"scale"`
 	Latency serveLatencyReport `json:"latency"`
 	Rate    serveRateReport    `json:"rate"`
@@ -58,20 +60,19 @@ type serveBenchReport struct {
 }
 
 // bootServeBench starts an in-process hyperdrived (worker-pool
-// executor, loopback HTTP) and returns its base URL, registry, and a
-// shutdown func.
-func bootServeBench(slots, maxExps int, rate float64, seed int64) (string, *obs.Registry, func(), error) {
+// executor, loopback HTTP) and returns its base URL and a shutdown
+// func.
+func bootServeBench(slots, maxExps int, rate float64, seed int64) (string, func(), error) {
 	clk := clock.NewScaled(time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC), 200000)
 	events := make(chan cluster.Event, 4096)
 	wreg := workload.NewRegistry()
-	reg := obs.NewRegistry()
 	capturer, err := checkpoint.NewCapturer(checkpoint.Framework, seed+1)
 	if err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
 	pool, err := cluster.NewWorkerPool(slots, wreg, clk, capturer, events)
 	if err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
 	srv, err := serve.NewServer(serve.Options{
 		Executor:       pool,
@@ -80,17 +81,17 @@ func bootServeBench(slots, maxExps int, rate float64, seed int64) (string, *obs.
 		Registry:       wreg,
 		MaxExperiments: maxExps,
 		Rate:           rate,
-		Obs:            reg,
+		Obs:            obs.NewRegistry(),
 	})
 	if err != nil {
 		pool.Close()
-		return "", nil, nil, err
+		return "", nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		srv.Close()
 		pool.Close()
-		return "", nil, nil, err
+		return "", nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
@@ -100,16 +101,16 @@ func bootServeBench(slots, maxExps int, rate float64, seed int64) (string, *obs.
 		srv.Close()
 		pool.Close()
 	}
-	return "http://" + ln.Addr().String(), reg, shutdown, nil
+	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
 // runServeLatency submits experiments over HTTP, polls them to
-// completion, and reads the submit→first-decision histogram the
-// server maintains.
+// completion, and collects each one's submit→first-decision latency
+// from its final status.
 func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyReport, error) {
 	rep := serveLatencyReport{Experiments: experiments, SlotsTotal: slots, MaxJobsEach: maxJobs}
 	// Rate limiting is the other phase's subject; stay far from it here.
-	base, reg, shutdown, err := bootServeBench(slots, experiments, 1e6, seed)
+	base, shutdown, err := bootServeBench(slots, experiments, 1e6, seed)
 	if err != nil {
 		return rep, err
 	}
@@ -139,6 +140,7 @@ func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyR
 	}
 
 	deadline := time.Now().Add(180 * time.Second)
+	var firstMS []float64
 	for _, id := range ids {
 		for {
 			if time.Now().After(deadline) {
@@ -149,8 +151,9 @@ func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyR
 				return rep, err
 			}
 			var st struct {
-				State string `json:"state"`
-				Error string `json:"error"`
+				State           string  `json:"state"`
+				Error           string  `json:"error"`
+				FirstDecisionMs float64 `json:"firstDecisionMs"`
 			}
 			jerr := json.NewDecoder(resp.Body).Decode(&st)
 			resp.Body.Close()
@@ -158,6 +161,9 @@ func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyR
 				return rep, jerr
 			}
 			if st.State == "done" {
+				if st.FirstDecisionMs > 0 {
+					firstMS = append(firstMS, st.FirstDecisionMs)
+				}
 				break
 			}
 			if st.State == "failed" || st.State == "canceled" {
@@ -168,10 +174,10 @@ func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyR
 	}
 	rep.WallMS = time.Since(t0).Seconds() * 1e3
 
-	h := reg.Histogram(obs.ServeSubmitToDecisionSeconds)
-	rep.Samples = h.Count()
-	rep.P50MS = h.Quantile(0.5) * 1e3
-	rep.P99MS = h.Quantile(0.99) * 1e3
+	sort.Float64s(firstMS)
+	rep.Samples = len(firstMS)
+	rep.P50MS = quantile(firstMS, 0.5)
+	rep.P99MS = quantile(firstMS, 0.99)
 	return rep, nil
 }
 
@@ -180,7 +186,7 @@ func runServeLatency(experiments, slots, maxJobs int, seed int64) (serveLatencyR
 // rate, the rest bounced as 429 with a Retry-After hint.
 func runServeRate(rate float64, clients int, wall time.Duration, seed int64) (serveRateReport, error) {
 	rep := serveRateReport{RatePerSec: rate, Clients: clients}
-	base, _, shutdown, err := bootServeBench(2, 1, rate, seed)
+	base, shutdown, err := bootServeBench(2, 1, rate, seed)
 	if err != nil {
 		return rep, err
 	}
@@ -243,24 +249,24 @@ func runServeRate(rate float64, clients int, wall time.Duration, seed int64) (se
 // BENCH_serve.json: submit→first-decision latency over the full HTTP
 // stack, and API throughput under the per-tenant rate limit.
 func runServeBench(path, scale string, seed int64) error {
-	rep := serveBenchReport{Scale: scale}
-	var err error
-	switch scale {
-	case "paper":
+	full, err := scaleOf(scale)
+	if err != nil {
+		return err
+	}
+	rep := &serveBenchReport{Scale: scale}
+	if full {
 		rep.Latency, err = runServeLatency(12, 32, 8, seed)
-	case "fast":
+	} else {
 		rep.Latency, err = runServeLatency(4, 8, 4, seed)
-	default:
-		return fmt.Errorf("unknown -serve-scale %q (want paper or fast)", scale)
 	}
 	if err != nil {
 		return err
 	}
-	if rep.Latency.Samples != int64(rep.Latency.Experiments) {
-		return fmt.Errorf("submit→decision histogram has %d samples, want %d", rep.Latency.Samples, rep.Latency.Experiments)
+	if rep.Latency.Samples != rep.Latency.Experiments {
+		return fmt.Errorf("%d of %d experiments reported a first decision", rep.Latency.Samples, rep.Latency.Experiments)
 	}
 
-	if scale == "paper" {
+	if full {
 		rep.Rate, err = runServeRate(300, 4, time.Second, seed)
 	} else {
 		rep.Rate, err = runServeRate(100, 2, 500*time.Millisecond, seed)
@@ -269,22 +275,13 @@ func runServeBench(path, scale string, seed int64) error {
 		return err
 	}
 	rep.Pass = rep.Rate.Pass
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("submit→first-decision over HTTP, %d experiments on %d slots: p50 %.1fms p99 %.1fms (%d samples, wall %.0fms)\n",
 		rep.Latency.Experiments, rep.Latency.SlotsTotal, rep.Latency.P50MS, rep.Latency.P99MS, rep.Latency.Samples, rep.Latency.WallMS)
 	fmt.Printf("api under %g req/s tenant limit, %d clients: %d accepted (%.0f/s), %d rejected with Retry-After, pass=%v\n",
 		rep.Rate.RatePerSec, rep.Rate.Clients, rep.Rate.Accepted, rep.Rate.AcceptedPerSec, rep.Rate.Rejected, rep.Rate.Pass)
-	fmt.Printf("report written to %s\n", path)
 	if !rep.Pass {
 		return fmt.Errorf("serve bench gate failed: rate limiter did not hold (accepted %d, rejected %d)", rep.Rate.Accepted, rep.Rate.Rejected)
 	}

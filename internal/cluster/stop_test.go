@@ -182,3 +182,35 @@ func TestAgentSlotFreeBeforeExitFrame(t *testing.T) {
 		next(wire.MsgJobExited, job)
 	}
 }
+
+// TestWorkerPoolSlotFreeBeforeExit is the worker-pool twin of
+// TestAgentSlotFreeBeforeExitFrame: by the time the scheduler reads a
+// job's EvExited, the job's slot is free, so restarting the slot at
+// once must never be refused with "slot already busy".
+func TestWorkerPoolSlotFreeBeforeExit(t *testing.T) {
+	events := make(chan Event)
+	p, err := NewWorkerPool(1, workload.NewRegistry(), fastClock(), nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	slot := p.Slots()[0]
+	cfg := param.CIFAR10Space().Sample(newTestRand())
+	// next reads events until kind arrives for job.
+	next := func(kind EventKind, job sched.JobID) Event {
+		t.Helper()
+		for {
+			if ev := <-events; ev.Kind == kind && ev.Job == job {
+				return ev
+			}
+		}
+	}
+	for i := 0; i < 30; i++ {
+		job := sched.JobID(fmt.Sprintf("j%d", i))
+		if err := p.Start(StartSpec{Job: job, Slot: slot, Workload: "cifar10", Config: cfg, Seed: int64(i), MaxEpoch: 120}); err != nil {
+			t.Fatalf("start %s: %v", job, err)
+		}
+		next(EvIterDone, job).Reply <- DecisionReply{Decision: sched.Terminate}
+		next(EvExited, job)
+	}
+}

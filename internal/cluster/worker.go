@@ -20,6 +20,11 @@ type WorkerPool struct {
 	events   chan<- Event
 	capturer *checkpoint.Capturer
 
+	// stop is stopped by Close. A job frees its slot before it emits
+	// its terminal event, so once it has left running only this signal
+	// can reach it while it blocks on that send.
+	stop *stopSignal
+
 	mu      sync.Mutex
 	slots   []SlotID
 	running map[SlotID]*workerJob
@@ -53,6 +58,7 @@ func NewWorkerPool(n int, registry *workload.Registry, clk clock.Clock, capturer
 		clk:      clk,
 		events:   events,
 		capturer: capturer,
+		stop:     newStopSignal(),
 		running:  make(map[SlotID]*workerJob),
 	}
 	for i := 0; i < n; i++ {
@@ -118,6 +124,7 @@ func (p *WorkerPool) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.stop.Stop()
 	for _, wj := range p.running {
 		wj.stop.Stop()
 	}
@@ -140,6 +147,19 @@ func (p *WorkerPool) StopJob(job sched.JobID, slot SlotID) error {
 	return nil
 }
 
+// emit delivers an event unless the job is stopped or the pool is
+// shutting down.
+func (p *WorkerPool) emit(wj *workerJob, ev Event) bool {
+	select {
+	case p.events <- ev:
+		return true
+	case <-wj.stop.Done():
+		return false
+	case <-p.stop.Done():
+		return false
+	}
+}
+
 // release frees the slot when a job ends.
 func (p *WorkerPool) release(slot SlotID) {
 	p.mu.Lock()
@@ -147,23 +167,15 @@ func (p *WorkerPool) release(slot SlotID) {
 	p.mu.Unlock()
 }
 
-// emit delivers an event unless the pool is shutting down.
-func (p *WorkerPool) emit(wj *workerJob, ev Event) bool {
-	select {
-	case p.events <- ev:
-		return true
-	case <-wj.stop.Done():
-		return false
-	}
-}
-
-// emitExit delivers a job's terminal event even when its stop channel
-// is already closed: first the ordinary stop-aware send, then a
-// non-blocking fallback. Exit events are what lets the scheduler's
-// shutdown drain release the slot, so they must not be silently
-// swallowed by a racing StopJob — but they also must not block, since
-// during pool Close nobody drains the event channel at all.
+// emitExit ends a job: it frees the slot first, so a scheduler that
+// restarts the slot as soon as it reads the terminal event is never
+// refused with "slot already busy", then delivers ev. Exit events are
+// what lets the scheduler's shutdown drain release the slot, so they
+// must not be swallowed by a racing StopJob — the stop-aware send is
+// followed by a non-blocking fallback — but they also must not block,
+// since during pool Close nobody drains the event channel at all.
 func (p *WorkerPool) emitExit(wj *workerJob, ev Event) {
+	p.release(wj.spec.Slot)
 	if p.emit(wj, ev) {
 		return
 	}
@@ -173,9 +185,11 @@ func (p *WorkerPool) emitExit(wj *workerJob, ev Event) {
 	}
 }
 
-// emitStopped acknowledges an asynchronous StopJob with a terminated
-// exit.
+// emitStopped acknowledges an asynchronous stop with a terminated
+// exit, best effort (nobody may be draining events anymore), after
+// freeing the slot as emitExit does.
 func (p *WorkerPool) emitStopped(wj *workerJob, epoch int) {
+	p.release(wj.spec.Slot)
 	select {
 	case p.events <- Event{Kind: EvExited, Job: wj.spec.Job, Slot: wj.spec.Slot, Epoch: epoch, Reason: ExitTerminated, Trace: wj.spec.Trace}:
 	default:
@@ -188,7 +202,6 @@ func (p *WorkerPool) emitStopped(wj *workerJob, epoch int) {
 // paper's schedule-as-it-goes execution with per-job decision points.
 func (p *WorkerPool) runJob(wj *workerJob, trainer workload.Trainer) {
 	defer p.wg.Done()
-	defer p.release(wj.spec.Slot)
 	spec := wj.spec
 	for {
 		select {

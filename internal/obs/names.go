@@ -23,9 +23,6 @@ const (
 	// bit-identical for every value; the gauge exists so measured fit
 	// latency can be read against the parallelism that produced it.
 	MCMCParallelWorkers = "hyperdrive_mcmc_parallel_workers"
-	// MCMCFitSpeedup is the serial/parallel fit-latency ratio last
-	// measured by hdbench -fit-bench on this host.
-	MCMCFitSpeedup = "hyperdrive_mcmc_fit_speedup"
 
 	// EpochsTotal counts completed training epochs across all jobs.
 	EpochsTotal = "hyperdrive_epochs_total"

@@ -29,9 +29,11 @@ go test -race -run 'TestMultiTenantChaosE2E' -count=1 -timeout 5m ./internal/ser
 
 # Stop-path stress: Close, terminate and connection loss raced against
 # one another on agents and worker pools, many times over. A double
-# close of a job's stop channel panics here.
+# close of a job's stop channel panics here. The worker-pool restart
+# test fails when a job's exit event can overtake the freeing of its
+# slot.
 echo ">> go test -race -count=50 -run StopPathsRace ./internal/cluster"
-go test -race -count=50 -run 'StopPathsRace|StopSignal' -timeout 5m ./internal/cluster
+go test -race -count=50 -run 'StopPathsRace|StopSignal|TestWorkerPoolSlotFreeBeforeExit' -timeout 5m ./internal/cluster
 
 # hyperdrived smoke: boot the multi-tenant server on loopback, submit
 # two tenant experiments over HTTP, poll both to completion, and
@@ -48,7 +50,7 @@ go run ./cmd/hyperdrived -smoke >/dev/null
 # the disabled path, and the instrumented API arm must complete.
 echo ">> hdbench -fleet-bench (smoke)"
 fleetjson="$(mktemp)"
-go run ./cmd/hdbench -fleet-bench "$fleetjson" -fleet-scale fast
+go run ./cmd/hdbench -fleet-bench "$fleetjson" -scale fast
 rm -f "$fleetjson"
 
 # Smoke the prediction-path benchmark at the reduced MCMC budget: it
@@ -56,7 +58,7 @@ rm -f "$fleetjson"
 # estimate's exact equivalence, not just latency.
 echo ">> hdbench -fit-bench (smoke)"
 fitjson="$(mktemp)"
-go run ./cmd/hdbench -fit-bench "$fitjson" -fit-scale fast
+go run ./cmd/hdbench -fit-bench "$fitjson" -scale fast
 rm -f "$fitjson"
 
 # Scheduler-core smoke: the sharded slot pool must beat the
@@ -64,8 +66,17 @@ rm -f "$fitjson"
 # socket e2e arm must complete; the bench exits non-zero on a miss.
 echo ">> hdbench -sched-bench (smoke)"
 schedjson="$(mktemp)"
-go run ./cmd/hdbench -sched-bench "$schedjson" -sched-scale fast
+go run ./cmd/hdbench -sched-bench "$schedjson" -scale fast
 rm -f "$schedjson"
+
+# Observability overhead smoke: the simulator with the obs registry
+# attached must stay within the (relaxed fast-scale) gate of the
+# registry-free path, and the trace-export and quality-audit arms must
+# complete.
+echo ">> hdbench -overhead-bench (smoke)"
+overheadjson="$(mktemp)"
+go run ./cmd/hdbench -overhead-bench "$overheadjson" -scale fast
+rm -f "$overheadjson"
 
 # Trace-export smoke: a small live run must produce a Chrome trace
 # that validates, and the event-log conversion path must produce one
